@@ -161,6 +161,8 @@ func BenchmarkKernelProcessSwitch(b *testing.B) {
 // same drivers cmd/pimbench records into BENCH_<n>.json, so the workload
 // behind each trajectory name cannot fork.
 
+func BenchmarkKernelHold(b *testing.B)      { benches.KernelHold(b) }
+func BenchmarkKernelHoldFloat(b *testing.B) { benches.KernelHoldFloat(b) }
 func BenchmarkMM1Simulation(b *testing.B)   { benches.MM1Simulation(b) }
 func BenchmarkHostPIMSimulate(b *testing.B) { benches.HostPIMSimulate(b) }
 func BenchmarkParcelSysRun(b *testing.B)    { benches.ParcelSysRun(b) }

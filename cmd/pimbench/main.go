@@ -315,6 +315,8 @@ var microBenchmarks = []struct {
 	{"machine_fault_treesum", benches.MachineFaultTreeSum},
 	{"serve_decode", benches.ServeSpecDecode},
 	{"serve_roundtrip", benches.ServeRoundTrip},
+	{"kernel_hold", benches.KernelHold},
+	{"kernel_hold_float", benches.KernelHoldFloat},
 }
 
 // measureMicros runs the substrate micro-benchmarks through

@@ -131,6 +131,8 @@ func TestMicroBenchNamesStable(t *testing.T) {
 		"machine_fault_treesum",
 		"serve_decode",
 		"serve_roundtrip",
+		"kernel_hold",
+		"kernel_hold_float",
 	}
 	if len(microBenchmarks) != len(want) {
 		t.Fatalf("micro suite has %d benchmarks, want %d — extend this pin, never rename", len(microBenchmarks), len(want))

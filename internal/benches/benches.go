@@ -131,6 +131,52 @@ func KernelActivityChain(b *testing.B) {
 	}
 }
 
+// holdDepth is the standing queue of the hold micro-benchmarks: the size
+// of parcel-scale-1k's event queue (about 7.2k events), rounded up.
+const holdDepth = 8192
+
+// kernelHold is the classic hold model at a realistic queue depth:
+// holdDepth standing events, and every fired event schedules one
+// successor after a delay drawn from next — one pop and one push per
+// event, with the queue's depth held constant. The kernel micro-benchmarks
+// above keep at most a few hundred events queued, so none of them shows
+// what a deep queue costs per event. ns/op is per fired event.
+func kernelHold(b *testing.B, next func(*rng.Stream) sim.Time) {
+	k := sim.NewKernel()
+	st := rng.New(1)
+	fired := 0
+	var fire func(any)
+	fire = func(any) {
+		fired++
+		if fired == b.N {
+			k.Stop()
+		}
+		k.ScheduleArg(next(st), fire, nil)
+	}
+	for i := 0; i < holdDepth; i++ {
+		k.ScheduleArg(next(st), fire, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := k.RunUntilIdle(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// KernelHold is the hold model with integer delays uniform on [0, 1024),
+// the shape of the parcel models' schedules: whole-cycle times, so events
+// reach the queue in (t, seq) order within each time unit.
+func KernelHold(b *testing.B) {
+	kernelHold(b, func(st *rng.Stream) sim.Time { return sim.Time(st.Intn(1024)) })
+}
+
+// KernelHoldFloat is the hold model with exponential delays of mean 512:
+// fractional times that often arrive out of order within a time unit,
+// the queue's overflow path.
+func KernelHoldFloat(b *testing.B) {
+	kernelHold(b, func(st *rng.Stream) sim.Time { return st.Exp(512) })
+}
+
 // MM1Simulation measures throughput of the queueing toolkit on a standard
 // M/M/1 at rho=0.7, using the activity-mode stations (jobs are values
 // flowing through inline handlers; the Proc-based stations remain for

@@ -243,8 +243,8 @@ type SimOptions struct {
 //
 // The model executes in the kernel's activity mode: every work loop is a
 // run-to-completion state machine stepped inline by the dispatch loop, so
-// the N-way interleaved LWP phase costs a heap pop per switch instead of a
-// goroutine handoff. The event trajectory (and therefore every statistic)
+// the N-way interleaved LWP phase costs an event-queue pop per switch
+// instead of a goroutine handoff. The event trajectory (and therefore every statistic)
 // is identical to the original Proc-based formulation.
 func Simulate(p Params, opt SimOptions) (Result, error) {
 	if err := p.Validate(); err != nil {

@@ -291,8 +291,9 @@ func segment(st *rng.Stream, p Params) (int, bool) {
 
 // runControl simulates the blocking message-passing system. Each thread
 // is a run-to-completion activity (see ctrlThread): the per-switch cost of
-// the N-way interleaving is a heap pop, not a goroutine handoff, and the
-// event trajectory is identical to the original Proc-based formulation.
+// the N-way interleaving is an event-queue pop, not a goroutine handoff,
+// and the event trajectory is identical to the original Proc-based
+// formulation.
 func runControl(p Params, rs *runState) (SystemResult, error) {
 	k := sim.NewKernel()
 	mems := make([]*sim.Resource, p.Nodes)

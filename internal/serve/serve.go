@@ -118,14 +118,15 @@ type Snapshot struct {
 
 // flight is one admitted run; coalesced requests wait on the same flight.
 type flight struct {
-	key     string
-	r       scenario.Resolved
-	ctx     context.Context // carries the initiator's deadline
-	cancel  context.CancelFunc
-	started time.Time
-	done    chan struct{} // closed once status/resp are set
-	status  int
-	resp    RunResponse
+	key      string
+	r        scenario.Resolved
+	ctx      context.Context // carries the initiator's deadline
+	deadline time.Time       // ctx's deadline, checked directly (see runFlight)
+	cancel   context.CancelFunc
+	started  time.Time
+	done     chan struct{} // closed once status/resp are set
+	status   int
+	resp     RunResponse
 }
 
 // Server routes spec requests through a bounded queue into the engine. It
@@ -325,11 +326,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// The flight's own clock is detached from the initiating connection:
 	// coalesced waiters may outlive the initiator, and a result computed
-	// anyway is a cache entry worth keeping.
-	flCtx, flCancel := context.WithTimeout(context.Background(), timeout)
+	// anyway is a cache entry worth keeping. It ends at the waiter's
+	// deadline exactly, so a waiter that has given up never finds its
+	// flight still runnable.
+	deadline, _ := waitCtx.Deadline()
+	flCtx, flCancel := context.WithDeadline(context.Background(), deadline)
 	fl := &flight{
 		key: key, r: res,
-		ctx: flCtx, cancel: flCancel,
+		ctx: flCtx, deadline: deadline, cancel: flCancel,
 		started: time.Now(),
 		done:    make(chan struct{}),
 	}
@@ -379,7 +383,9 @@ func (s *Server) runFlight(fl *flight) {
 				RunResponse{Key: fl.key, Error: fmt.Sprintf("backend panic: %v", v)})
 		}
 	}()
-	if fl.ctx.Err() != nil {
+	// The clock, not ctx.Err(): the context learns of its deadline from a
+	// timer goroutine, which can lag behind a waiter that already gave up.
+	if !time.Now().Before(fl.deadline) {
 		// Spent its whole budget queued; don't burn a worker on it.
 		s.deadlines.Add(1)
 		s.finish(fl, http.StatusGatewayTimeout,

@@ -3,10 +3,10 @@ package sim
 // Activity execution mode: run-to-completion event handlers driven inline
 // by the kernel's dispatch loop, with zero goroutines, zero channel
 // operations, and zero stack switches. Activities coexist with Proc-based
-// processes on the same event heap — mixed models interleave under the
+// processes on the same event queue — mixed models interleave under the
 // exact same deterministic (t, seq) order — but a switch between two
-// activities costs only a heap pop and a method call, where a switch
-// between two processes costs a goroutine handoff.
+// activities costs only an event-queue pop and a method call, where a
+// switch between two processes costs a goroutine handoff.
 //
 // The price is the classic event-oriented one: an activity cannot block
 // mid-function. It is a state machine the kernel steps; every blocking

@@ -1,12 +1,14 @@
 package sim
 
-// Property tests of the specialized 4-ary event queue against the
+// Property tests of the specialized 4-ary eventHeap — the calendar
+// queue's overflow, and the whole queue while it is small — against the
 // reference container/heap implementation the kernel used before the
 // hot-path overhaul: for arbitrary randomized schedules — including
 // duplicate timestamps, interleaved pushes and pops, and canceled events
 // — both heaps must pop in the identical (t, seq) order, so kernel
 // determinism (and byte-identical suite output) is preserved by
-// construction.
+// construction. refHeap is also the oracle of the calendar-queue tests in
+// queue_test.go.
 
 import (
 	"container/heap"

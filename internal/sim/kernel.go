@@ -1,5 +1,5 @@
 // Package sim is a deterministic discrete-event simulation kernel with two
-// execution modes sharing one event heap. It is the replacement for the
+// execution modes sharing one event queue. It is the replacement for the
 // commercial HyPerformix SES/Workbench tool the paper used.
 //
 // Process mode (Proc, Context): transactions are modeled as lightweight
@@ -17,11 +17,11 @@
 //
 // Activity mode (Activity, ActCtx): run-to-completion event handlers the
 // kernel steps inline in its dispatch loop — zero goroutines, zero channel
-// operations, zero stack switches. A switch between two activities costs a
-// heap pop instead of a goroutine handoff (an order of magnitude cheaper),
-// at the price of event-oriented style: the model is an explicit state
-// machine and every blocking primitive becomes a "try or register" call
-// (AcquireAct, GetAct, WaitAct). Write hot simulation loops in this mode;
+// operations, zero stack switches. A switch between two activities costs an
+// event-queue pop instead of a goroutine handoff (an order of magnitude
+// cheaper), at the price of event-oriented style: the model is an explicit
+// state machine and every blocking primitive becomes a "try or register"
+// call (AcquireAct, GetAct, WaitAct). Write hot simulation loops in this mode;
 // the repository's heavy studies (hostpim, parcelsys, the activity-mode
 // queueing stations) all do.
 //
@@ -30,6 +30,12 @@
 // covers all three, so a mixed model is exactly as deterministic as a pure
 // one. The same seed and model always produce the same trajectory; ties in
 // event time are broken by schedule order.
+//
+// Pending events wait in a calendar queue (queue.go): a ring of FIFO
+// buckets, one per whole time unit, with a 4-ary heap as the overflow for
+// whatever the ring cannot take in order. Models that schedule at integer
+// times — all of this repository's — push and pop in constant time at any
+// queue depth; queues under a few dozen events are the bare heap.
 //
 // For big models, ParKernel partitions a run across shard kernels advanced
 // concurrently in conservative time windows, with cross-shard interactions
@@ -57,92 +63,27 @@ var ErrDeadlock = errors.New("sim: deadlock: no scheduled events but processes r
 // Events are recycled through the kernel's free list once fired or
 // collected dead, so steady-state scheduling does not allocate; gen
 // distinguishes incarnations so a stale Timer cannot cancel the struct's
-// next tenant. Resumptions carry the process or activity directly instead
-// of a closure, keeping the kernel's hottest paths — Wait and
-// blocking-wakeup events in both execution modes — entirely
-// allocation-free; ScheduleArg callbacks likewise carry their argument out
-// of line so one function value can serve many deliveries.
+// next tenant, and its low bit marks a canceled event (folding the flag
+// in keeps the struct at 80 bytes with the queue link). Resumptions carry
+// the process or activity directly instead of a closure, keeping the
+// kernel's hottest paths — Wait and blocking-wakeup events in both
+// execution modes — entirely allocation-free; ScheduleArg callbacks
+// likewise carry their argument out of line so one function value can
+// serve many deliveries.
 type event struct {
 	t    Time
 	seq  uint64  // tie-breaker: schedule order
+	next *event  // the next event in its calQueue bucket
 	proc *Proc   // when non-nil, resume this process
 	act  *ActCtx // when non-nil, step this activity
 	fn   func()
 	afn  func(any) // when non-nil, call afn(arg)
 	arg  any
-	dead bool   // canceled
-	gen  uint64 // incarnation counter, bumped on recycle
+	gen  uint64 // 2 × incarnation, +1 once canceled; see dead and recycle
 }
 
-// eventHeap is a 4-ary min-heap on (t, seq) specialized to *event: the
-// comparisons are inlined and nothing is boxed, unlike container/heap's
-// interface-driven sift. The wider fan-out halves the tree depth of the
-// binary heap, which pays on the pop-heavy dispatch loop. It is the
-// single-partition implementation of the eventQueue interface (see
-// queue.go); the Kernel uses it concretely so the hot paths keep their
-// devirtualized, inlinable calls.
-type eventHeap []*event
-
-// push inserts ev, sifting up with inlined (t, seq) comparisons.
-func (q *eventHeap) push(ev *event) {
-	a := append(*q, ev)
-	i := len(a) - 1
-	t, seq := ev.t, ev.seq
-	for i > 0 {
-		pi := (i - 1) >> 2
-		p := a[pi]
-		if p.t < t || (p.t == t && p.seq < seq) {
-			break
-		}
-		a[i] = p
-		i = pi
-	}
-	a[i] = ev
-	*q = a
-}
-
-// pop removes and returns the minimum event, nil when the heap is empty
-// (the eventQueue contract both implementations share — see queue.go).
-func (q *eventHeap) pop() *event {
-	a := *q
-	n := len(a) - 1
-	if n < 0 {
-		return nil
-	}
-	top := a[0]
-	last := a[n]
-	a[n] = nil
-	a = a[:n]
-	*q = a
-	if n > 0 {
-		i := 0
-		t, seq := last.t, last.seq
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m, mc := c, a[c]
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				cj := a[j]
-				if cj.t < mc.t || (cj.t == mc.t && cj.seq < mc.seq) {
-					m, mc = j, cj
-				}
-			}
-			if t < mc.t || (t == mc.t && seq < mc.seq) {
-				break
-			}
-			a[i] = mc
-			i = m
-		}
-		a[i] = last
-	}
-	return top
-}
+// dead reports whether the event was canceled.
+func (ev *event) dead() bool { return ev.gen&1 != 0 }
 
 // dispatchState is the outcome of one dispatch burst (see Kernel.dispatch).
 type dispatchState int
@@ -164,10 +105,10 @@ const (
 // the zero value is not usable.
 type Kernel struct {
 	now Time
-	// events is a pointer so a partitioned run can alias one shard of a
-	// partitionedQueue here (see parallel.go); the calls stay devirtualized
-	// *eventHeap methods either way.
-	events *eventHeap
+	// events is held by value, one load closer to the dispatch loop than a
+	// pointer; a partitioned run's partitionedQueue points at each shard's
+	// (see parallel.go).
+	events calQueue
 	free   []*event // recycled events (see event)
 	seq    uint64
 
@@ -220,7 +161,7 @@ type Tracer interface {
 
 // NewKernel returns an empty simulation at time 0.
 func NewKernel() *Kernel {
-	return &Kernel{events: new(eventHeap), yield: make(chan struct{}, 1)}
+	return &Kernel{yield: make(chan struct{}, 1)}
 }
 
 // Now returns the current simulated time.
@@ -238,17 +179,18 @@ type Timer struct {
 // Cancel marks the timer dead. Canceling an already-fired or already-
 // canceled timer is a no-op. It reports whether the cancel took effect.
 func (t Timer) Cancel() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
+	// A handle's gen is even; a canceled or recycled event's differs.
+	if t.ev == nil || t.ev.gen != t.gen {
 		return false
 	}
-	t.ev.dead = true
+	t.ev.gen |= 1
 	return true
 }
 
 // newEvent takes a recycled event (or allocates one), stamps it with the
-// given time and the next sequence number, and leaves the payload fields
-// for the caller to fill before pushing. Scheduling in the past panics
-// (events must be causal).
+// given time and the next sequence number, and queues it; the caller then
+// fills the payload fields, which the queue never reads. Scheduling in the
+// past panics (events must be causal).
 func (k *Kernel) newEvent(t Time) *event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%g) before now (%g)", t, k.now))
@@ -258,13 +200,20 @@ func (k *Kernel) newEvent(t Time) *event {
 		ev = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		ev.t, ev.dead = t, false
+		ev.t = t
 	} else {
 		ev = &event{t: t}
 	}
 	ev.seq = k.nextSeq()
 	if sh := k.par; sh != nil && sh.window {
 		sh.logCall(ev, ev.gen)
+	}
+	// calQueue.push, spelled out so a small queue (no ring yet: the bare
+	// overflow heap) pushes with no extra call.
+	if q := &k.events; q.ring == nil && len(q.over) < ringFrom {
+		q.over.push(ev)
+	} else {
+		q.pushRing(ev)
 	}
 	return ev
 }
@@ -291,7 +240,6 @@ func (k *Kernel) nextSeq() uint64 {
 func (k *Kernel) scheduleEvent(t Time, fn func(), p *Proc) *event {
 	ev := k.newEvent(t)
 	ev.fn, ev.proc = fn, p
-	k.events.push(ev)
 	return ev
 }
 
@@ -300,7 +248,6 @@ func (k *Kernel) scheduleEvent(t Time, fn func(), p *Proc) *event {
 func (k *Kernel) scheduleActEvent(t Time, a *ActCtx) *event {
 	ev := k.newEvent(t)
 	ev.act = a
-	k.events.push(ev)
 	return ev
 }
 
@@ -331,7 +278,6 @@ func (k *Kernel) ScheduleArg(delay Time, fn func(any), arg any) Timer {
 	}
 	ev := k.newEvent(k.now + delay)
 	ev.afn, ev.arg = fn, arg
-	k.events.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -357,19 +303,26 @@ func (k *Kernel) dispatch(self *Proc) dispatchState {
 		if k.stopped || k.draining {
 			return exhausted
 		}
-		if len(*k.events) == 0 {
+		q := &k.events
+		ev := q.peek()
+		if ev == nil {
 			return exhausted
 		}
-		ev := (*k.events)[0]
-		if ev.dead {
-			k.events.pop()
+		if ev.dead() {
+			q.pop()
 			k.recycle(ev)
 			continue
 		}
 		if k.bounded && (ev.t > k.until || (k.strict && ev.t == k.until)) {
 			return exhausted
 		}
-		k.events.pop()
+		// calQueue.pop, spelled out so a small queue (no ring yet: the bare
+		// overflow heap) pops with no extra call.
+		if q.ring == nil {
+			q.over.pop()
+		} else {
+			q.popRing()
+		}
 		k.now = ev.t
 		if sh := k.par; sh != nil && sh.window {
 			// Every schedule made while this event (or code it hands the
@@ -451,15 +404,15 @@ func (k *Kernel) startOrWake(p *Proc) {
 }
 
 // recycle returns a popped event to the free list for the next
-// scheduleEvent. Bumping gen invalidates any Timer still holding the
-// struct.
+// scheduleEvent. Moving gen to the next even value revives the struct and
+// invalidates any Timer still holding it.
 func (k *Kernel) recycle(ev *event) {
 	ev.fn = nil
 	ev.proc = nil
 	ev.act = nil
 	ev.afn = nil
 	ev.arg = nil
-	ev.gen++
+	ev.gen = (ev.gen | 1) + 1
 	k.free = append(k.free, ev)
 }
 
@@ -645,11 +598,11 @@ func PopFront[T any](q []T) ([]T, T) {
 // pending, no processes are live, and no activities are blocked in a wait
 // queue. Dormant activities (spawned, not exited, nothing pending) do not
 // count — with no events left they will never be stepped again.
-func (k *Kernel) Idle() bool { return len(*k.events) == 0 && k.live == 0 && k.actsBlocked == 0 }
+func (k *Kernel) Idle() bool { return k.events.size() == 0 && k.live == 0 && k.actsBlocked == 0 }
 
 // PendingEvents returns the number of scheduled (possibly canceled) events;
 // exposed for tests and diagnostics.
-func (k *Kernel) PendingEvents() int { return len(*k.events) }
+func (k *Kernel) PendingEvents() int { return k.events.size() }
 
 // LiveProcs returns the number of live processes.
 func (k *Kernel) LiveProcs() int { return k.live }

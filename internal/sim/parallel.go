@@ -3,7 +3,7 @@ package sim
 // Conservative time-windowed parallel execution of one simulation —
 // ROADMAP item 1's DES half, the counterpart of the machine backend's
 // isa.runParallel (PR 7). A ParKernel is P shard kernels whose event
-// heaps alias the partitions of one partitionedQueue. The coordinator
+// queues are the partitions of one partitionedQueue. The coordinator
 // reads the queue's merge front for the global minimum W and opens the
 // window [W, W+L), where L is the model-declared lookahead: the minimum
 // cross-shard event delay. Persistent workers drain their shards up to
@@ -26,7 +26,9 @@ package sim
 // resolving provisional caller seqs through the assignments already made
 // — and hands out exact serial seqs call by call. Still-queued events
 // are re-stamped in place (provisional and serial numbering are
-// order-isomorphic within a shard, so the heap order is unchanged);
+// order-isomorphic within a shard, so the queue order is unchanged —
+// bucket lists and overflow heap alike, as both read their keys from the
+// event itself);
 // buffered cross-shard sends become deliveries carrying their exact
 // seq. Every provisional number is gone by the time anything can observe
 // it across shards.
@@ -42,6 +44,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // shardState is the per-shard half of a partitioned run, hung off
@@ -65,10 +69,42 @@ type shardState struct {
 	curSeq    uint64
 	curLogged bool
 
+	// The shard's replay log, lent by the run's replayScratch while the
+	// workers are up.
+	*replayLog
+}
+
+// replayLog is one shard's window log and barrier bookkeeping.
+type replayLog struct {
 	callers  []callerRec
 	calls    []callRec
 	outbox   []outMsg
-	assigned []uint64 // barrier scratch: provisional offset -> exact seq
+	assigned []uint64 // provisional offset -> exact seq
+
+	ci, ki, oi int // merge cursors into callers, calls and outbox
+}
+
+// replayScratch is the barrier bookkeeping of one partitioned run: every
+// shard's replay log plus the renumbered deliveries. Windows reuse it,
+// and so do runs: startWorkers takes one from replayPool and Close puts
+// it back, so a model that runs many partitioned simulations stops
+// growing fresh logs by append-doubling every run.
+type replayScratch struct {
+	logs       []replayLog
+	deliveries []delivery
+}
+
+var replayPool sync.Pool // of *replayScratch
+
+// appendLog is append for the replay logs, growing them by doubling. A
+// run's first windows grow each log to its largest window's size, and
+// append's gentler growth for large slices (about 1.25×) would allocate
+// around five times that size on the way there instead of two.
+func appendLog[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+64)
+	}
+	return append(s, v)
 }
 
 // callerRec groups the consecutive schedules made under one fired event.
@@ -98,10 +134,10 @@ type outMsg struct {
 func (sh *shardState) logCall(ev *event, gen uint64) {
 	if !sh.curLogged {
 		sh.curLogged = true
-		sh.callers = append(sh.callers, callerRec{t: sh.curT, seq: sh.curSeq})
+		sh.callers = appendLog(sh.callers, callerRec{t: sh.curT, seq: sh.curSeq})
 	}
 	sh.callers[len(sh.callers)-1].n++
-	sh.calls = append(sh.calls, callRec{ev: ev, gen: gen})
+	sh.calls = appendLog(sh.calls, callRec{ev: ev, gen: gen})
 }
 
 // Send schedules fn(arg) on the given partition after delay. On a
@@ -136,7 +172,7 @@ func (k *Kernel) Send(part int, delay Time, fn func(any), arg any) {
 	// pairing stays exact) and buffer the message for the barrier.
 	k.seq++
 	sh.logCall(nil, 0)
-	sh.outbox = append(sh.outbox, outMsg{to: part, t: t, fn: fn, arg: arg})
+	sh.outbox = appendLog(sh.outbox, outMsg{to: part, t: t, fn: fn, arg: arg})
 }
 
 // deliverEvent injects a cross-shard delivery carrying an externally
@@ -151,7 +187,7 @@ func (k *Kernel) deliverEvent(t Time, seq uint64, fn func(any), arg any) {
 		ev = k.free[n-1]
 		k.free[n-1] = nil
 		k.free = k.free[:n-1]
-		ev.t, ev.dead = t, false
+		ev.t = t
 	} else {
 		ev = &event{t: t}
 	}
@@ -189,7 +225,7 @@ type ParKernel struct {
 	workers   int
 	seq       uint64 // the shared serial schedule counter
 
-	deliveries []delivery // barrier scratch, reused across windows
+	scratch *replayScratch // held between startWorkers and Close
 
 	work    []chan windowJob
 	done    chan struct{}
@@ -228,16 +264,16 @@ func NewParKernel(parts, workers int, lookahead Time) *ParKernel {
 		workers = parts
 	}
 	pk := &ParKernel{
-		pq:        newPartitionedQueue(parts, nil),
+		pq:        &partitionedQueue{parts: make([]*calQueue, parts)},
 		lookahead: lookahead,
 		workers:   workers,
 	}
 	pk.parts = make([]*Kernel, parts)
 	for i := range pk.parts {
 		k := NewKernel()
-		k.events = &pk.pq.parts[i]
 		k.par = &shardState{pk: pk, idx: i}
 		pk.parts[i] = k
+		pk.pq.parts[i] = &k.events
 	}
 	return pk
 }
@@ -276,6 +312,17 @@ func (pk *ParKernel) startWorkers() {
 		return
 	}
 	pk.started = true
+	sc, _ := replayPool.Get().(*replayScratch)
+	if sc == nil {
+		sc = new(replayScratch)
+	}
+	for len(sc.logs) < len(pk.parts) {
+		sc.logs = append(sc.logs, replayLog{})
+	}
+	pk.scratch = sc
+	for i, k := range pk.parts {
+		k.par.replayLog = &sc.logs[i]
+	}
 	pk.work = make([]chan windowJob, pk.workers)
 	pk.done = make(chan struct{}, pk.workers)
 	for w := range pk.work {
@@ -306,6 +353,18 @@ func (pk *ParKernel) Close() {
 	for _, c := range pk.work {
 		close(c)
 	}
+	// The scratch goes back to the pool with no references into this run,
+	// so a pooled log keeps no events, callbacks or arguments alive.
+	sc := pk.scratch
+	for i := range pk.parts {
+		l := &sc.logs[i]
+		clear(l.calls[:cap(l.calls)])
+		clear(l.outbox[:cap(l.outbox)])
+		pk.parts[i].par.replayLog = nil
+	}
+	clear(sc.deliveries[:cap(sc.deliveries)])
+	pk.scratch = nil
+	replayPool.Put(sc)
 }
 
 // windowDrain drains one shard for one window; runs on a worker.
@@ -383,19 +442,20 @@ func (pk *ParKernel) runWindows(until Time, bounded bool) {
 // re-stamp them in place; cross-shard sends become deliveries, injected
 // in assignment order.
 func (pk *ParKernel) merge(base uint64) {
-	type cursor struct{ ci, ki, oi int }
-	curs := make([]cursor, len(pk.parts))
+	for _, k := range pk.parts {
+		l := k.par.replayLog
+		l.ci, l.ki, l.oi = 0, 0, 0
+	}
 	for {
 		best := -1
 		var bt Time
 		var bseq uint64
 		for s, k := range pk.parts {
 			sh := k.par
-			ci := curs[s].ci
-			if ci >= len(sh.callers) {
+			if sh.ci >= len(sh.callers) {
 				continue
 			}
-			rec := sh.callers[ci]
+			rec := sh.callers[sh.ci]
 			key := rec.seq
 			if key >= base {
 				// A caller created earlier in this window: its exact seq
@@ -410,30 +470,32 @@ func (pk *ParKernel) merge(base uint64) {
 			break
 		}
 		sh := pk.parts[best].par
-		cu := &curs[best]
-		rec := sh.callers[cu.ci]
-		cu.ci++
+		rec := sh.callers[sh.ci]
+		sh.ci++
 		for i := 0; i < rec.n; i++ {
-			c := sh.calls[cu.ki]
-			cu.ki++
+			c := sh.calls[sh.ki]
+			sh.ki++
 			g := pk.seq
 			pk.seq++
-			sh.assigned = append(sh.assigned, g)
+			sh.assigned = appendLog(sh.assigned, g)
 			if c.ev == nil {
-				m := sh.outbox[cu.oi]
-				cu.oi++
-				pk.deliveries = append(pk.deliveries, delivery{to: m.to, t: m.t, seq: g, fn: m.fn, arg: m.arg})
-			} else if c.ev.gen == c.gen {
+				m := sh.outbox[sh.oi]
+				sh.oi++
+				pk.scratch.deliveries = appendLog(pk.scratch.deliveries, delivery{to: m.to, t: m.t, seq: g, fn: m.fn, arg: m.arg})
+			} else if c.ev.gen|1 == c.gen|1 {
+				// Same incarnation, canceled or not: a dead event still
+				// queued keeps its place in the order too.
 				c.ev.seq = g
 			}
 		}
 	}
-	for i := range pk.deliveries {
-		d := &pk.deliveries[i]
+	ds := pk.scratch.deliveries
+	for i := range ds {
+		d := &ds[i]
 		pk.parts[d.to].deliverEvent(d.t, d.seq, d.fn, d.arg)
 		d.fn, d.arg = nil, nil
 	}
-	pk.deliveries = pk.deliveries[:0]
+	pk.scratch.deliveries = ds[:0]
 }
 
 // Advance runs the partitioned simulation up to simulated time `until`

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -248,6 +249,40 @@ func TestParKernelTraceEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParKernelConcurrentRuns: partitioned runs on several goroutines at
+// once, of different shard counts, each match the serial run. They share
+// the pooled replay scratch — taken when a run's workers start, returned
+// by Close, regrown for a wider run — so this is the race detector's view
+// of the pool, and of a scratch handed from one run to the next.
+func TestParKernelConcurrentRuns(t *testing.T) {
+	const copies = 8
+	spec := makeParModel(9, copies, 4, 6, 10)
+	want, err := runParModelSerial(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i, parts := range []int{2, 4, 7, 3, 2, 7} {
+		wg.Add(1)
+		go func(i, parts int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				got, err := runParModelPartitioned(spec, parts, 2, func(g int) int { return g % parts })
+				if err != nil {
+					t.Errorf("run %d (p%d): %v", i, parts, err)
+					return
+				}
+				if got.now != want.now || got.seq != want.seq {
+					t.Errorf("run %d (p%d): final time %g seq %d, serial %g %d",
+						i, parts, got.now, got.seq, want.now, want.seq)
+					return
+				}
+			}
+		}(i, parts)
+	}
+	wg.Wait()
 }
 
 // TestParKernelAdvanceIncremental: driving the partitioned run through
