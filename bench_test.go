@@ -172,6 +172,8 @@ func BenchmarkMachineGUPS(b *testing.B)     { benches.MachineGUPS(b) }
 func BenchmarkMachineGUPS256(b *testing.B)  { benches.MachineGUPS256(b) }
 func BenchmarkMachineGUPSPar(b *testing.B)  { benches.MachineGUPSPar(b) }
 func BenchmarkMachineDecode(b *testing.B)   { benches.MachineDecode(b) }
+func BenchmarkMachineDRAM(b *testing.B)     { benches.MachineDRAM(b) }
+func BenchmarkMachineDRAMPar(b *testing.B)  { benches.MachineDRAMPar(b) }
 
 func BenchmarkMachineFaultTreeSum(b *testing.B) { benches.MachineFaultTreeSum(b) }
 

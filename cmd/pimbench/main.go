@@ -317,6 +317,8 @@ var microBenchmarks = []struct {
 	{"serve_roundtrip", benches.ServeRoundTrip},
 	{"kernel_hold", benches.KernelHold},
 	{"kernel_hold_float", benches.KernelHoldFloat},
+	{"machine_dram", benches.MachineDRAM},
+	{"machine_dram_par", benches.MachineDRAMPar},
 }
 
 // measureMicros runs the substrate micro-benchmarks through

@@ -133,6 +133,8 @@ func TestMicroBenchNamesStable(t *testing.T) {
 		"serve_roundtrip",
 		"kernel_hold",
 		"kernel_hold_float",
+		"machine_dram",
+		"machine_dram_par",
 	}
 	if len(microBenchmarks) != len(want) {
 		t.Fatalf("micro suite has %d benchmarks, want %d — extend this pin, never rename", len(microBenchmarks), len(want))

@@ -39,9 +39,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
-	"math"
 	"sort"
 	"strconv"
 	"strings"

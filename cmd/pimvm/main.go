@@ -33,7 +33,9 @@
 //	-straggler F     deterministic straggler cost factor (0/1 = off)
 //	-faultseed S     fault-plan seed (plans are pure functions of the seed)
 //	-dis          print the disassembly and exit
-//	-stats        print per-node statistics after the run
+//	-stats        print the execution engine the run took (per-cycle,
+//	              windowed, or parallel) with the reason for any
+//	              fallback, then per-node statistics
 //
 // When any fault rate is nonzero the machine runs its seq/ack retransmit
 // protocol, a delivery summary follows the run, and the fingerprint
@@ -325,6 +327,8 @@ func run(args []string) error {
 		fmt.Println(machineFingerprint(m, cycles))
 	}
 	if *stats {
+		eng, why := m.LastEngine()
+		fmt.Printf("engine: %v (fallback: %v)\n", eng, why)
 		t := report.NewTable("per-node statistics",
 			"node", "instructions", "mem ops", "wide ops", "spawns", "threads done", "utilization")
 		for i, n := range m.Nodes {

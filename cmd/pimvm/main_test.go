@@ -41,6 +41,24 @@ func TestRunWithStats(t *testing.T) {
 	}
 }
 
+func TestStatsReportEngine(t *testing.T) {
+	// -stats names the engine the run took and why it passed over a
+	// faster one: the serial CLI streams OUT values, which pins the
+	// per-cycle loop; -parallel drops the Output hook.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stats", "-builtin", "gups", "-nodes", "4"}, "engine: per-cycle (fallback: Output hook)"},
+		{[]string{"-stats", "-builtin", "gups", "-nodes", "4", "-parallel", "2"}, "engine: parallel (fallback: none)"},
+		{[]string{"-stats", "-builtin", "gups", "-nodes", "1", "-parallel", "2"}, "engine: windowed (fallback: Parallelism <= 1 or fewer than 2 nodes)"},
+	} {
+		if out := captureRun(t, tc.args); !strings.Contains(out, tc.want) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
 func TestDisassemble(t *testing.T) {
 	path := writeProgram(t, countdown)
 	if err := run([]string{"-dis", path}); err != nil {

@@ -377,6 +377,35 @@ func MachineGUPS256(b *testing.B) { machineGUPS256(b, 1) }
 // the partitions dominate the barrier cost.
 func MachineGUPSPar(b *testing.B) { machineGUPS256(b, runtime.GOMAXPROCS(0)) }
 
+// machineDRAM drives the DRAM pair: the machine-dram preset widened to
+// 64 nodes and 8192 triad words (the perfbench bigrun shape), every wide
+// access priced by its node's open-page row buffer through the MemDelay
+// hook, on the given PDES worker count. Each iteration is one full
+// scenario run — fresh banks, staging, and the result check — so the
+// ns/op is what a DRAM design point costs end to end.
+func machineDRAM(b *testing.B, parallelism int) {
+	s := scenario.MustFind("machine-dram")
+	s.Machine.N = 64
+	s.Workload.Updates = 8192
+	s.Machine.RunParallel = parallelism
+	cfg := scenario.Config{Seed: 2004}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scenario.Run(s, "machine", cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// MachineDRAM is the serial side of the DRAM pair.
+func MachineDRAM(b *testing.B) { machineDRAM(b, 1) }
+
+// MachineDRAMPar is the parallel side of the DRAM pair: the identical
+// point on GOMAXPROCS PDES workers (row-buffer state is per node, so
+// the hook runs inside the partitions).
+func MachineDRAMPar(b *testing.B) { machineDRAM(b, runtime.GOMAXPROCS(0)) }
+
 // MachineDecode measures the pre-decoded dispatch layer in isolation: a
 // register-only countdown kernel on one node and one thread, so no
 // memory stalls break the issue stream and the superinstruction fuser

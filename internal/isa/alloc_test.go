@@ -186,6 +186,51 @@ func TestResetReusesSlabs(t *testing.T) {
 	}
 }
 
+func TestMemDelayWindowedZeroAllocs(t *testing.T) {
+	// A warmed windowed run priced by a non-allocating MemDelay hook (an
+	// open-page row buffer per node) must not allocate: per-access
+	// pricing in the window engine stays on the slabs.
+	layout := DefaultGUPSLayout()
+	layout.Updates = 32
+	prog, err := GUPSProgram(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(2, 16384, DefaultTiming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := make([]uint64, len(m.Nodes))
+	m.MemDelay = func(node int, addr uint64, wide bool) int64 {
+		if row := addr / 32; row != open[node] {
+			open[node] = row
+			return 5
+		}
+		return 1
+	}
+	run := func() {
+		m.Reset()
+		clear(open)
+		if err := m.LoadAll(prog); err != nil {
+			t.Fatal(err)
+		}
+		entry, _ := prog.Entry("main")
+		for i := range m.Nodes {
+			m.Nodes[i].StartThread(entry, uint64(i), 0)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm
+	if eng, _ := m.LastEngine(); eng != EngineWindowed {
+		t.Fatalf("MemDelay run took the %v engine, want windowed", eng)
+	}
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("windowed MemDelay run allocates %g times per run", avg)
+	}
+}
+
 func TestPingClosedFormExact(t *testing.T) {
 	// PingTotalCycles is the machine's cross-backend anchor: it must match
 	// the interpreter cycle for cycle across latencies and round counts.

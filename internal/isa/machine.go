@@ -178,6 +178,14 @@ type Machine struct {
 	// instead of the flat Timing.MemCycles/WideMemCycles — the hook a
 	// row-buffer timing model (internal/dram) plugs into. Costs below one
 	// cycle are clamped to one.
+	//
+	// Contract: a call for node i may read and write only state owned by
+	// node i (one row buffer per node, say), and under Parallelism > 1
+	// it is called concurrently for distinct nodes. The windowed and
+	// parallel engines keep each node's sequence of memory operations
+	// identical to per-cycle execution, so such a hook sees the same
+	// calls, with the same arguments and in the same per-node order, on
+	// every engine; only the interleaving across nodes differs.
 	MemDelay func(node int, addr uint64, wide bool) int64
 	// MaxCycles bounds Run (0 = no bound).
 	MaxCycles int64
@@ -194,9 +202,9 @@ type Machine struct {
 	// barriers, in canonical (sent, src) order. Every counter, memory
 	// word, fault, and cycle count is byte-identical to serial execution
 	// regardless of the worker count or partition assignment. Runs that
-	// install Trace/Output/MemDelay hooks, set ForceInterpret, or have no
-	// usable lookahead (see NetLookahead) ignore Parallelism and execute
-	// serially.
+	// install Trace/Output hooks, set ForceInterpret, or have no usable
+	// lookahead (see NetLookahead) ignore Parallelism and execute
+	// serially; a MemDelay hook honoring its contract runs in parallel.
 	Parallelism int
 	// Partition optionally assigns node i to worker Partition[i] in
 	// [0, Parallelism); nil means contiguous balanced blocks. The
@@ -241,6 +249,8 @@ type Machine struct {
 	Reliable bool
 
 	cycle    int64
+	engine   Engine
+	fallback Fallback
 	inFlight []flight
 	// fusePending holds the superinstruction tails queued this cycle;
 	// they run once every node has stepped, and only if no parcel is in
@@ -288,6 +298,7 @@ func (m *Machine) LoadAll(p *Program) error {
 // and re-run without reallocating.
 func (m *Machine) Reset() {
 	m.cycle = 0
+	m.engine, m.fallback = EngineNone, FallbackNone
 	m.inFlight = m.inFlight[:0]
 	m.fusePending = m.fusePending[:0]
 	for _, n := range m.Nodes {
@@ -317,27 +328,48 @@ func (m *Machine) Reset() {
 // pure bookkeeping and are applied in bulk. Cycle counts, counters, and
 // faults are identical to per-cycle stepping (the Step API still
 // advances one exact cycle at a time).
+//
+// The engine Run picks, and the reason it passed over a faster one, are
+// recorded for LastEngine.
 func (m *Machine) Run() (int64, error) {
 	// Node-major windowed execution (see runWindowed) needs every
 	// cross-node interaction bounded and unobserved: a network with a
 	// known minimum cross-node latency (the flat Timing.NetLatency, or a
-	// NetDelay hook with a declared NetLookahead), flat memory timing
-	// (MemDelay hooks may carry cross-call state), and no per-cycle
-	// observers (Trace, Output). ForceInterpret keeps the full
+	// NetDelay hook with a declared NetLookahead) and no per-cycle
+	// observers (Trace, Output). A MemDelay hook is node-local by its
+	// contract, so it rides along. ForceInterpret keeps the full
 	// pre-decode-era loop as the differential-testing oracle. With
 	// Parallelism > 1 and a positive lookahead the windows themselves run
 	// on multiple workers (runParallel), byte-identical to serial.
-	if m.Trace == nil && m.Output == nil && m.MemDelay == nil && !m.ForceInterpret {
-		if la, ok := m.lookahead(); ok {
-			window := la + 1
-			if maxW := m.maxWindow(); window > maxW || window < 1 {
-				window = maxW
-			}
-			if m.Parallelism > 1 && la > 0 && len(m.Nodes) > 1 {
-				return m.runParallel(window)
-			}
-			return m.runWindowed(window)
+	m.engine, m.fallback = EnginePerCycle, FallbackNone
+	switch {
+	case m.Trace != nil:
+		m.fallback = FallbackTrace
+	case m.Output != nil:
+		m.fallback = FallbackOutput
+	case m.ForceInterpret:
+		m.fallback = FallbackForceInterpret
+	default:
+		la, ok := m.lookahead()
+		if !ok {
+			m.fallback = FallbackNoLookahead
+			break
 		}
+		window := la + 1
+		if maxW := m.maxWindow(); window > maxW || window < 1 {
+			window = maxW
+		}
+		switch {
+		case m.Parallelism <= 1 || len(m.Nodes) < 2:
+			m.fallback = FallbackSerial
+		case la <= 0:
+			m.fallback = FallbackNoLookahead
+		default:
+			m.engine = EngineParallel
+			return m.runParallel(window)
+		}
+		m.engine = EngineWindowed
+		return m.runWindowed(window)
 	}
 	for {
 		live := false
@@ -368,6 +400,67 @@ func (m *Machine) Run() (int64, error) {
 
 // canceled polls the Cancel hook.
 func (m *Machine) canceled() bool { return m.Cancel != nil && m.Cancel() }
+
+// Engine names the execution engine a Run took.
+type Engine uint8
+
+// Execution engines, slowest first.
+const (
+	// EngineNone: no Run since construction or the last Reset.
+	EngineNone Engine = iota
+	// EnginePerCycle is the global per-cycle loop (step).
+	EnginePerCycle
+	// EngineWindowed is the serial node-major windowed loop (runWindowed).
+	EngineWindowed
+	// EngineParallel is the multi-worker windowed loop (runParallel).
+	EngineParallel
+)
+
+var engineNames = [...]string{"none", "per-cycle", "windowed", "parallel"}
+
+func (e Engine) String() string {
+	if int(e) < len(engineNames) {
+		return engineNames[e]
+	}
+	return fmt.Sprintf("Engine(%d)", uint8(e))
+}
+
+// Fallback names why a Run did not take a faster engine.
+type Fallback uint8
+
+// Fallback reasons, in the order Run checks them.
+const (
+	// FallbackNone: the run took the fastest engine (parallel), or no
+	// Run has happened yet.
+	FallbackNone Fallback = iota
+	// FallbackTrace: a Trace observer pins the per-cycle loop.
+	FallbackTrace
+	// FallbackOutput: an Output observer pins the per-cycle loop.
+	FallbackOutput
+	// FallbackForceInterpret: the differential-testing oracle was asked for.
+	FallbackForceInterpret
+	// FallbackNoLookahead: no positive network lookahead — a NetDelay hook
+	// without NetLookahead (per-cycle), or a zero flat latency with
+	// Parallelism > 1 (windowed, serial).
+	FallbackNoLookahead
+	// FallbackSerial: Parallelism <= 1 or fewer than two nodes, so the
+	// windowed engine runs on one worker.
+	FallbackSerial
+)
+
+var fallbackNames = [...]string{"none", "Trace hook", "Output hook", "ForceInterpret",
+	"no lookahead", "Parallelism <= 1 or fewer than 2 nodes"}
+
+func (f Fallback) String() string {
+	if int(f) < len(fallbackNames) {
+		return fallbackNames[f]
+	}
+	return fmt.Sprintf("Fallback(%d)", uint8(f))
+}
+
+// LastEngine reports the engine the last Run took and why it did not
+// take a faster one. Setting it costs Run two plain stores.
+func (m *Machine) LastEngine() (Engine, Fallback) { return m.engine, m.fallback }
 
 // Step advances the machine one cycle.
 func (m *Machine) Step() error {
@@ -598,8 +691,9 @@ func insertionSortFlights(fl []flight) {
 // appended. Cycle counts, counters, memory, and faults are identical to
 // the per-cycle loop; Run gates entry on the conditions that make the
 // proof hold (no Trace/Output observers ordering events across nodes
-// within a cycle, no MemDelay hook, and either a flat network or a
-// NetDelay hook with a declared NetLookahead).
+// within a cycle, and either a flat network or a NetDelay hook with a
+// declared NetLookahead). Each node also issues its memory operations in
+// the per-cycle order, so a node-local MemDelay hook sees the same calls.
 func (m *Machine) runWindowed(window int64) (int64, error) {
 	for {
 		live := false
@@ -819,9 +913,10 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 			readyM |= 1 << uint(i)
 		}
 	}
-	// MemDelay is nil on this path (the runWindowed gate checked), so
-	// every scalar memory op stalls the same fixed cost — hoist it,
-	// including the node's straggler scale (constant per node).
+	// Without a MemDelay hook every scalar memory op stalls the same
+	// fixed cost — hoist it, including the node's straggler scale
+	// (constant per node). With one, LD/ST ask memCost per access.
+	memHook := m.MemDelay != nil
 	memC := m.Timing.MemCycles
 	if m.Fault != nil {
 		memC *= m.Fault.CostScale(n.ID)
@@ -994,7 +1089,8 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 		// common op classes — ALU (OpAdd..OpLui), control (OpBeq..OpJr),
 		// and scalar LD/ST — execute right here, mirroring execDecoded
 		// without the call: none can halt, spawn, or trace on this path,
-		// none reads m.cycle, and the fixed memory cost is hoisted above.
+		// none reads m.cycle, and the memory cost is hoisted above unless
+		// a MemDelay hook prices each access.
 		// Everything else (wide, amo, spawn, halt, print, invalid) goes
 		// through execDecoded behind an m.cycle store and spawn tracking.
 		//
@@ -1108,14 +1204,18 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 				memOps++
 				t.PC++
 				lastIssue = c
-				// The stall cost is known statically, so move the thread
+				// The stall cost is known here, so move the thread
 				// straight to the stalled mask (the slab countdown stays
-				// untouched — flush rewrites it from wake). memC == 1
+				// untouched — flush rewrites it from wake). A cost of 1
 				// means no stall: the thread stays ready.
-				if memC > 1 {
+				cost := memC
+				if memHook {
+					cost = m.memCost(n, addr, false)
+				}
+				if cost > 1 {
 					readyM &^= 1 << uint(idx)
 					stalledM |= 1 << uint(idx)
-					w := c + memC
+					w := c + cost
 					wake[idx] = w
 					if w < minWake {
 						minWake = w
@@ -1139,10 +1239,14 @@ func (m *Machine) runNodeWindowFast(n *NodeState, wstart, wend int64) (lastIssue
 				memOps++
 				t.PC++
 				lastIssue = c
-				if memC > 1 {
+				cost := memC
+				if memHook {
+					cost = m.memCost(n, addr, false)
+				}
+				if cost > 1 {
 					readyM &^= 1 << uint(idx)
 					stalledM |= 1 << uint(idx)
-					w := c + memC
+					w := c + cost
 					wake[idx] = w
 					if w < minWake {
 						minWake = w

@@ -32,7 +32,9 @@ import (
 // parWorker is one partition of a parallel run.
 type parWorker struct {
 	// vm is the worker's shallow Machine view: shared Nodes/Timing/
-	// NetDelay, private clock and queues. Hooks are nil by the Run gate.
+	// NetDelay/MemDelay, private clock and queues. The observer hooks
+	// (Trace, Output) are nil by the Run gate; MemDelay is called only for
+	// this partition's nodes, which its contract makes safe.
 	vm Machine
 	// nodes is this partition's node set, in ascending node order (the
 	// serial iteration order, which error reduction depends on).
@@ -103,7 +105,7 @@ func (m *Machine) partitions() (parts [][]*NodeState, owner []int, err error) {
 
 // runParallel is Run's multi-worker windowed loop. The caller (the Run
 // gate) guarantees Parallelism > 1, more than one node, a positive
-// lookahead behind the window bound, and no Trace/Output/MemDelay hooks.
+// lookahead behind the window bound, and no Trace/Output hooks.
 func (m *Machine) runParallel(window int64) (int64, error) {
 	parts, owner, err := m.partitions()
 	if err != nil {
@@ -117,6 +119,7 @@ func (m *Machine) runParallel(window int64) (int64, error) {
 				Timing:       m.Timing,
 				NetDelay:     m.NetDelay,
 				NetLookahead: m.NetLookahead,
+				MemDelay:     m.MemDelay,
 				Fault:        m.Fault,
 				Reliable:     m.Reliable,
 			},

@@ -283,6 +283,8 @@ func runMachineScenario(s Scenario, cfg Config) (map[string]float64, error) {
 				return nil, err
 			}
 		}
+		// A call touches only banks[node], as MemDelay's contract asks,
+		// so the run keeps the windowed and parallel engines.
 		m.MemDelay = func(node int, addr uint64, wide bool) int64 {
 			row := int(addr / rowWords % rows)
 			return int64(math.Ceil(banks[node].Access(row) / lwpCycleNS))

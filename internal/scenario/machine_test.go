@@ -313,6 +313,32 @@ func TestMachineRunParallelInvariant(t *testing.T) {
 			}
 		}
 	}
+	// DRAM row-buffer timing runs on the windowed and parallel engines
+	// too: under either page policy, every worker count reproduces the
+	// per-cycle oracle's metrics, row-buffer hit rate included.
+	for _, policy := range []string{"open", "closed"} {
+		s := MustFind("machine-dram")
+		s.Machine.PagePolicy = policy
+		cfg := Config{Seed: 2004, Quick: true}
+		machineForceInterpret = true
+		want, err := Run(s, "machine", cfg)
+		machineForceInterpret = false
+		if err != nil {
+			t.Fatalf("machine-dram %s oracle: %v", policy, err)
+		}
+		for _, p := range []int{1, 2, 4} {
+			sc := s
+			sc.Machine.RunParallel = p
+			got, err := Run(sc, "machine", cfg)
+			if err != nil {
+				t.Fatalf("machine-dram %s p=%d: %v", policy, p, err)
+			}
+			if !reflect.DeepEqual(want.Metrics, got.Metrics) {
+				t.Errorf("machine-dram %s: RunParallel=%d diverges from the per-cycle oracle:\noracle:   %v\nparallel: %v",
+					policy, p, want.Metrics, got.Metrics)
+			}
+		}
+	}
 }
 
 func TestMachineMetricsDispatchInvariant(t *testing.T) {
