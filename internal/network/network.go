@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Network maps a (source, destination) node pair to a one-way message
@@ -293,48 +294,77 @@ func MeanHops(t Topology) float64 {
 }
 
 // Link is a bandwidth-limited, latency-bearing channel built on the DES
-// kernel: each message holds the link for size/bandwidth cycles
-// (serialization) and arrives latency cycles after transmission completes.
-// It models the contention the flat model abstracts away.
+// kernel: messages serialize one at a time in FIFO order, each holding the
+// link for size × CyclesPerByte cycles, and arrive Latency cycles after
+// their serialization completes. It models the contention the flat model
+// abstracts away. Send never blocks; scheduled callbacks drive the link.
 type Link struct {
-	res *sim.Resource
+	k *sim.Kernel
 	// Latency is the propagation delay in cycles.
 	Latency float64
 	// CyclesPerByte is the serialization cost.
 	CyclesPerByte float64
+
+	queue  []linkMsg // queue[0] is serializing whenever the queue is non-empty
+	busy   stats.TimeWeighted
+	finish func() // bound once; every serialization completion reuses it
 }
 
-// NewLink creates a link attached to kernel k.
-func NewLink(k *sim.Kernel, name string, latency, cyclesPerByte float64) *Link {
+type linkMsg struct {
+	size          int
+	sent, deliver func()
+}
+
+// NewLink creates an idle link attached to kernel k.
+func NewLink(k *sim.Kernel, latency, cyclesPerByte float64) *Link {
 	if latency < 0 || cyclesPerByte < 0 {
 		panic(fmt.Sprintf("network: NewLink(%g, %g)", latency, cyclesPerByte))
 	}
-	return &Link{
-		res:           sim.NewResource(k, name, 1, sim.FIFO),
-		Latency:       latency,
-		CyclesPerByte: cyclesPerByte,
-	}
+	l := &Link{k: k, Latency: latency, CyclesPerByte: cyclesPerByte}
+	l.busy.Set(k.Now(), 0)
+	l.finish = l.serialized
+	return l
 }
 
-// Send transmits a message of the given size, blocking the caller for
-// serialization plus propagation (cut-through: the caller may continue once
-// delivery completes). deliver runs at arrival time.
-func (l *Link) Send(c *sim.Context, sizeBytes int, deliver func()) {
+// Send queues a message of the given size behind any message already on
+// the link. sent, if non-nil, runs when the message's serialization
+// completes (the sender may move on: cut-through); deliver, if non-nil,
+// runs at arrival, Latency cycles later.
+func (l *Link) Send(sizeBytes int, sent, deliver func()) {
 	if sizeBytes < 0 {
 		panic(fmt.Sprintf("network: Send with negative size %d", sizeBytes))
 	}
-	l.res.Acquire(c)
-	c.Wait(l.CyclesPerByte * float64(sizeBytes))
-	l.res.Release(1)
-	if deliver == nil {
-		c.Wait(l.Latency)
-		return
+	l.queue = append(l.queue, linkMsg{size: sizeBytes, sent: sent, deliver: deliver})
+	if len(l.queue) == 1 {
+		l.serialize()
 	}
-	c.Kernel().Schedule(l.Latency, deliver)
 }
 
-// Utilization returns the link's mean utilization.
-func (l *Link) Utilization(now sim.Time) float64 { return l.res.Utilization(now) }
+// serialize puts the queue head on the wire.
+func (l *Link) serialize() {
+	l.busy.Set(l.k.Now(), 1)
+	l.k.Schedule(l.CyclesPerByte*float64(l.queue[0].size), l.finish)
+}
+
+// serialized completes the head message and starts the next one.
+func (l *Link) serialized() {
+	var m linkMsg
+	l.queue, m = sim.PopFront(l.queue)
+	if m.deliver != nil {
+		l.k.Schedule(l.Latency, m.deliver)
+	}
+	if m.sent != nil {
+		m.sent()
+	}
+	if len(l.queue) > 0 {
+		l.serialize()
+	} else {
+		l.busy.Set(l.k.Now(), 0)
+	}
+}
+
+// Utilization returns the fraction of [0, now] the link spent serializing.
+func (l *Link) Utilization(now sim.Time) float64 { return l.busy.Mean(now) }
 
 // abs is integer absolute value.
 func abs(x int) int {

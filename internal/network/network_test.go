@@ -161,12 +161,9 @@ func TestTopologySymmetryProperty(t *testing.T) {
 
 func TestLinkSerialization(t *testing.T) {
 	k := sim.NewKernel()
-	l := NewLink(k, "wire", 50, 0.5)
+	l := NewLink(k, 50, 0.5)
 	var sendDone, arrive sim.Time
-	k.Spawn("sender", func(c *sim.Context) {
-		l.Send(c, 100, func() { arrive = k.Now() })
-		sendDone = c.Now()
-	})
+	l.Send(100, func() { sendDone = k.Now() }, func() { arrive = k.Now() })
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,26 +179,23 @@ func TestLinkContention(t *testing.T) {
 	// Two messages of 100 bytes on a 1-cycle/byte link: second waits for
 	// the first to serialize.
 	k := sim.NewKernel()
-	l := NewLink(k, "wire", 0, 1)
+	l := NewLink(k, 0, 1)
 	var done []sim.Time
 	for i := 0; i < 2; i++ {
-		k.Spawn("s", func(c *sim.Context) {
-			l.Send(c, 100, nil)
-			done = append(done, c.Now())
-		})
+		l.Send(100, nil, func() { done = append(done, k.Now()) })
 	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if done[0] != 100 || done[1] != 200 {
+	if len(done) != 2 || done[0] != 100 || done[1] != 200 {
 		t.Errorf("completion times = %v, want [100 200]", done)
 	}
 }
 
 func TestLinkUtilization(t *testing.T) {
 	k := sim.NewKernel()
-	l := NewLink(k, "wire", 0, 1)
-	k.Spawn("s", func(c *sim.Context) { l.Send(c, 25, nil) })
+	l := NewLink(k, 0, 1)
+	l.Send(25, nil, nil)
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
 	}

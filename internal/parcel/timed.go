@@ -14,6 +14,7 @@ import (
 // counterpart of the statistical parcelsys model — same mechanism, actual
 // parcels — and exists to cross-validate the two and to time real
 // parcel programs (graph walks, reductions) rather than synthetic ones.
+// Each node runs as one activity (see timedNode).
 type TimedMachine struct {
 	k      *sim.Kernel
 	nodes  []*Node
@@ -22,7 +23,7 @@ type TimedMachine struct {
 	// Latency is the flat one-way inter-node latency in cycles.
 	Latency float64
 	// ActionCycles prices the service time of each action; nil uses
-	// DefaultActionCycles.
+	// DefaultActionCycles(6, 20).
 	ActionCycles func(a Action) float64
 
 	// Busy tracks each node's time-weighted busy indicator.
@@ -30,8 +31,13 @@ type TimedMachine struct {
 	// Handled counts parcels serviced per node.
 	Handled []int64
 
+	// outstanding counts parcels injected or emitted and not yet handled.
+	// While RunToQuiescence drives the kernel (watching), the completion
+	// that drops it to zero records quiescedAt and stops the run.
 	outstanding int64
-	idleSig     *sim.Signal
+	watching    bool
+	quiescedAt  sim.Time
+	deliver     func(any) // bound once; every emitted parcel's arrival reuses it
 	err         error
 }
 
@@ -47,6 +53,8 @@ func DefaultActionCycles(memCycles, invokeCycles float64) func(Action) float64 {
 		}
 	}
 }
+
+var defaultActionCycles = DefaultActionCycles(6, 20)
 
 // NewTimedMachine creates an n-node timed parcel machine on kernel k.
 func NewTimedMachine(k *sim.Kernel, n int, reg *Registry, cost CostModel, latency float64) (*TimedMachine, error) {
@@ -65,7 +73,10 @@ func NewTimedMachine(k *sim.Kernel, n int, reg *Registry, cost CostModel, latenc
 		Latency: latency,
 		Busy:    make([]stats.TimeWeighted, n),
 		Handled: make([]int64, n),
-		idleSig: sim.NewSignal(k, "parcel-quiescent"),
+	}
+	tm.deliver = func(x any) {
+		q := x.(*Parcel)
+		tm.queues[q.DestNode].TryPut(q)
 	}
 	for i := 0; i < n; i++ {
 		tm.nodes = append(tm.nodes, NewNode(uint32(i), reg))
@@ -73,8 +84,7 @@ func NewTimedMachine(k *sim.Kernel, n int, reg *Registry, cost CostModel, latenc
 		tm.Busy[i].Set(k.Now(), 0)
 	}
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("pnode-%d", i), func(c *sim.Context) { tm.serve(c, i) })
+		k.SpawnActivity(fmt.Sprintf("pnode-%d", i), &timedNode{tm: tm, i: i})
 	}
 	return tm, nil
 }
@@ -94,55 +104,102 @@ func (tm *TimedMachine) Inject(p *Parcel) error {
 	return nil
 }
 
-// serve is one node's processor loop.
-func (tm *TimedMachine) serve(c *sim.Context, i int) {
-	actionCost := tm.ActionCycles
-	if actionCost == nil {
-		actionCost = DefaultActionCycles(6, 20)
-	}
+// timedNode is one node's processor loop as an activity: take a parcel
+// (waiting while the queue is empty), assimilate it, perform its action,
+// then emit each continuation after its creation overhead.
+type timedNode struct {
+	tm    *TimedMachine
+	i     int
+	state int
+	p     *Parcel   // the parcel in service
+	out   []*Parcel // its continuations
+	next  int       // index of the next continuation in out
+}
+
+// timedNode states: what the next Step resumes.
+const (
+	nodeIdle        = iota // take the next parcel
+	nodeAssimilated        // start the action
+	nodeActed              // handle the parcel
+	nodeEmit               // consider out[next]
+	nodeCreated            // send out[next]
+)
+
+func (n *timedNode) Step(a *sim.ActCtx) {
+	tm := n.tm
 	for {
-		p := tm.queues[i].Get(c)
-		tm.Busy[i].Set(c.Now(), 1)
-		if tm.cost.AssimilateCycles > 0 {
-			c.Wait(tm.cost.AssimilateCycles)
-		}
-		c.Wait(actionCost(p.Action))
-		out, err := tm.nodes[i].Handle(p)
-		if err != nil {
-			tm.err = err
-			tm.outstanding--
-			tm.Busy[i].Set(c.Now(), 0)
-			tm.maybeQuiesce()
+		switch n.state {
+		case nodeIdle:
+			p, ok := tm.queues[n.i].GetAct(a)
+			if !ok {
+				return
+			}
+			n.p = p
+			tm.Busy[n.i].Set(a.Now(), 1)
+			n.state = nodeAssimilated
+			if tm.cost.AssimilateCycles > 0 {
+				a.Wait(tm.cost.AssimilateCycles)
+				return
+			}
+		case nodeAssimilated:
+			n.state = nodeActed
+			cost := tm.ActionCycles
+			if cost == nil {
+				cost = defaultActionCycles
+			}
+			a.Wait(cost(n.p.Action))
 			return
-		}
-		tm.Handled[i]++
-		for _, q := range out {
-			if int(q.DestNode) >= len(tm.nodes) {
-				tm.err = fmt.Errorf("parcel: emitted parcel for node %d of %d", q.DestNode, len(tm.nodes))
+		case nodeActed:
+			out, err := tm.nodes[n.i].Handle(n.p)
+			n.p = nil
+			if err != nil {
+				tm.err = err
+				tm.handled(n.i, a.Now())
+				a.Exit()
+				return
+			}
+			tm.Handled[n.i]++
+			n.out, n.next = out, 0
+			n.state = nodeEmit
+		case nodeEmit:
+			if n.next == len(n.out) {
+				n.out = nil
+				tm.handled(n.i, a.Now())
+				n.state = nodeIdle
 				continue
 			}
-			if tm.cost.CreateCycles > 0 {
-				c.Wait(tm.cost.CreateCycles)
+			if q := n.out[n.next]; int(q.DestNode) >= len(tm.nodes) {
+				tm.err = fmt.Errorf("parcel: emitted parcel for node %d of %d", q.DestNode, len(tm.nodes))
+				n.next++
+				continue
 			}
+			n.state = nodeCreated
+			if tm.cost.CreateCycles > 0 {
+				a.Wait(tm.cost.CreateCycles)
+				return
+			}
+		case nodeCreated:
+			q := n.out[n.next]
+			n.next++
 			lat := 0.0
-			if q.DestNode != uint32(i) {
+			if q.DestNode != uint32(n.i) {
 				lat = tm.Latency
 			}
-			q := q
 			tm.outstanding++
-			c.Kernel().Schedule(lat, func() { tm.queues[q.DestNode].TryPut(q) })
+			tm.k.ScheduleArg(lat, tm.deliver, q)
+			n.state = nodeEmit
 		}
-		tm.outstanding--
-		tm.Busy[i].Set(c.Now(), 0)
-		tm.maybeQuiesce()
 	}
 }
 
-// maybeQuiesce fires the quiescence signal when no parcels remain.
-func (tm *TimedMachine) maybeQuiesce() {
-	if tm.outstanding == 0 {
-		tm.idleSig.Trigger()
-		tm.idleSig = sim.NewSignal(tm.k, "parcel-quiescent")
+// handled retires node i's parcel in service at time now; the last
+// outstanding parcel ends a RunToQuiescence run.
+func (tm *TimedMachine) handled(i int, now sim.Time) {
+	tm.outstanding--
+	tm.Busy[i].Set(now, 0)
+	if tm.outstanding == 0 && tm.watching {
+		tm.quiescedAt = now
+		tm.k.Stop()
 	}
 }
 
@@ -153,27 +210,20 @@ func (tm *TimedMachine) RunToQuiescence(maxCycles sim.Time) (sim.Time, error) {
 	if tm.outstanding == 0 {
 		return tm.k.Now(), nil
 	}
-	var done sim.Time = -1
-	watcher := tm.k.Spawn("quiesce-watch", func(c *sim.Context) {
-		for tm.outstanding > 0 {
-			sig := tm.idleSig
-			sig.Wait(c)
-		}
-		done = c.Now()
-		c.Kernel().Stop()
-	})
-	_ = watcher
-	if err := tm.k.Run(maxCycles); err != nil {
+	tm.watching, tm.quiescedAt = true, -1
+	err := tm.k.Run(maxCycles)
+	tm.watching = false
+	if err != nil {
 		return tm.k.Now(), err
 	}
 	if tm.err != nil {
 		return tm.k.Now(), tm.err
 	}
-	if done < 0 {
+	if tm.quiescedAt < 0 {
 		return tm.k.Now(), fmt.Errorf("parcel: %d parcels still outstanding at cycle %g",
 			tm.outstanding, maxCycles)
 	}
-	return done, nil
+	return tm.quiescedAt, nil
 }
 
 // TotalHandled sums handled parcels across nodes.

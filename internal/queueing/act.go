@@ -1,23 +1,21 @@
 package queueing
 
-// Activity-mode (event-oriented) stations. The Proc-based components in
-// this package give every job its own process, which reads naturally but
-// pays a goroutine handoff per station visit. The Act* components below
-// run entirely inside the kernel's dispatch loop: jobs are plain values,
-// a station visit is an inline call plus one scheduled completion event,
-// and a whole M/M/1 run executes with zero goroutines. Use them for hot
-// measurement loops; keep the Proc components for interactive examples
-// and models whose control flow does not fit run-to-completion handlers.
+// Event-oriented stations. They run entirely inside the kernel's dispatch
+// loop: jobs are plain values, a station visit is an inline call plus at
+// most one scheduled completion event, and a whole M/M/1 run executes
+// with zero goroutines.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// ActNode consumes jobs in activity mode. AcceptAct must not block: it
-// runs to completion inside the caller's dispatch step.
+// ActNode consumes jobs. AcceptAct takes ownership of the job at the
+// current simulated time; it must not block: it runs to completion inside
+// the caller's dispatch step, queueing internally where it needs to.
 type ActNode interface {
 	AcceptAct(k *sim.Kernel, j *Job)
 }
@@ -28,21 +26,9 @@ type ActNodeFunc func(k *sim.Kernel, j *Job)
 // AcceptAct calls the function.
 func (f ActNodeFunc) AcceptAct(k *sim.Kernel, j *Job) { f(k, j) }
 
-// AcceptAct lets a Sink terminate an activity-mode chain. When Recycle is
-// set, the absorbed job is handed to it (an ActSource's Dispose closes the
-// allocation loop).
-func (s *Sink) AcceptAct(k *sim.Kernel, j *Job) {
-	s.count++
-	s.Sojourn.Add(k.Now() - j.Created)
-	if s.Recycle != nil {
-		s.Recycle(j)
-	}
-}
-
-// ActSource generates jobs in activity mode: one activity re-arms itself
-// per interarrival instead of spawning a process per job. Jobs disposed
-// back to the source are reused, so a steady-state run allocates nothing
-// per job.
+// ActSource generates jobs: one activity re-arms itself per
+// interarrival. Jobs disposed back to the source are reused, so a
+// steady-state run allocates nothing per job.
 type ActSource struct {
 	Name string
 	// Limit stops generation after this many jobs (0 = unlimited); the
@@ -58,8 +44,8 @@ type ActSource struct {
 	free   []*Job
 }
 
-// NewActSource creates an activity-mode source of class-0 jobs with the
-// given interarrival sampler, feeding out. Call Start to launch it.
+// NewActSource creates a source of class-0 jobs with the given
+// interarrival sampler, feeding out. Call Start to launch it.
 func NewActSource(k *sim.Kernel, name string, interarrival func() float64, out ActNode) *ActSource {
 	return &ActSource{Name: name, k: k, inter: interarrival, out: out}
 }
@@ -77,8 +63,8 @@ func (s *ActSource) Generated() int64 { return s.next }
 // the terminal Sink's Recycle field).
 func (s *ActSource) Dispose(j *Job) { s.free = append(s.free, j) }
 
-// Step emits one job per resumption: like the Proc source, the first
-// arrival happens one interarrival after the start time.
+// Step emits one job per resumption; the first arrival happens one
+// interarrival after the start time.
 func (s *ActSource) Step(a *sim.ActCtx) {
 	if !s.primed {
 		s.primed = true
@@ -106,10 +92,9 @@ func (s *ActSource) Step(a *sim.ActCtx) {
 	a.Wait(s.inter())
 }
 
-// ActServer is the activity-mode k-server FIFO station: arriving jobs
-// enter service immediately when a server is free and queue otherwise;
-// each service is one scheduled completion event carrying the job (no
-// closure per job). Statistics mirror the Proc Server's.
+// ActServer is a k-server FIFO station: arriving jobs enter service
+// immediately when a server is free and queue otherwise; each service is
+// one scheduled completion event carrying the job (no closure per job).
 type ActServer struct {
 	Name string
 	// Service samples the service times actually drawn.
@@ -131,8 +116,8 @@ type ActServer struct {
 	complete func(any) // bound once; every completion event reuses it
 }
 
-// NewActServer creates an activity-mode station with `servers` identical
-// servers, service sampler svc, and downstream node out.
+// NewActServer creates a station with `servers` identical servers,
+// service sampler svc, and downstream node out.
 func NewActServer(k *sim.Kernel, name string, servers int, svc func(*Job) float64, out ActNode) *ActServer {
 	if servers <= 0 {
 		panic(fmt.Sprintf("queueing: NewActServer %q with %d servers", name, servers))
@@ -202,8 +187,9 @@ func (s *ActServer) finish(x any) {
 	}
 }
 
-// ActDelay holds each job for a sampled time without queueing (the
-// infinite-server station in activity mode).
+// ActDelay holds each job for a sampled time without queueing (an
+// infinite-server station; models pure latency such as the paper's flat
+// interconnect delay).
 type ActDelay struct {
 	Name string
 
@@ -213,7 +199,7 @@ type ActDelay struct {
 	forward func(any)
 }
 
-// NewActDelay creates an activity-mode pure-delay node.
+// NewActDelay creates a pure-delay node.
 func NewActDelay(k *sim.Kernel, name string, d func(*Job) float64, out ActNode) *ActDelay {
 	ad := &ActDelay{Name: name, k: k, d: d, out: out}
 	ad.forward = func(x any) {
@@ -274,8 +260,7 @@ type ActRouter struct {
 	outs   []ActNode
 }
 
-// NewActRouter creates an activity-mode router. choose must return an
-// index into outs.
+// NewActRouter creates a router. choose must return an index into outs.
 func NewActRouter(name string, choose func(*Job) int, outs ...ActNode) *ActRouter {
 	return &ActRouter{Name: name, choose: choose, outs: outs}
 }
@@ -287,4 +272,168 @@ func (r *ActRouter) AcceptAct(k *sim.Kernel, j *Job) {
 		panic(fmt.Sprintf("queueing: router %q chose invalid output %d of %d", r.Name, idx, len(r.outs)))
 	}
 	r.outs[idx].AcceptAct(k, j)
+}
+
+// ActPSServer is an egalitarian processor-sharing station: all resident
+// jobs progress simultaneously, each at rate 1/n of the server. Mean
+// sojourn in M/M/1-PS equals M/M/1-FCFS, which the tests exploit; unlike
+// FCFS the sojourn of a job depends only on its own size and the load.
+// One pending completion event covers the whole station: every arrival
+// and departure re-plans it.
+type ActPSServer struct {
+	Name string
+	// Sojourn samples the time each job spent in the station.
+	Sojourn stats.Sample
+	// Load is the time-weighted number of resident jobs.
+	Load stats.TimeWeighted
+
+	k        *sim.Kernel
+	svc      func(*Job) float64
+	out      ActNode
+	jobs     []psJob // in arrival order
+	lastT    sim.Time
+	next     int // index in jobs of the next completion
+	timer    sim.Timer
+	complete func() // bound once; every completion event reuses it
+}
+
+type psJob struct {
+	j         *Job
+	remaining float64 // remaining service requirement
+}
+
+// NewActPSServer creates a processor-sharing station with service
+// requirement sampler svc and downstream node out.
+func NewActPSServer(k *sim.Kernel, name string, svc func(*Job) float64, out ActNode) *ActPSServer {
+	ps := &ActPSServer{Name: name, k: k, svc: svc, out: out}
+	ps.Load.Set(k.Now(), 0)
+	ps.complete = ps.finish
+	return ps
+}
+
+// AcceptAct admits the job into service alongside the resident ones.
+func (ps *ActPSServer) AcceptAct(k *sim.Kernel, j *Job) {
+	req := ps.svc(j)
+	if req < 0 {
+		panic(fmt.Sprintf("queueing: PS server %q sampled negative service %g", ps.Name, req))
+	}
+	ps.advance()
+	j.Start = k.Now()
+	ps.jobs = append(ps.jobs, psJob{j: j, remaining: req})
+	ps.Load.Set(k.Now(), float64(len(ps.jobs)))
+	ps.reschedule()
+}
+
+// advance applies the processing done since the last event to every
+// resident job.
+func (ps *ActPSServer) advance() {
+	now := ps.k.Now()
+	if n := len(ps.jobs); n > 0 {
+		if dt := now - ps.lastT; dt > 0 {
+			rate := 1 / float64(n)
+			for i := range ps.jobs {
+				ps.jobs[i].remaining -= dt * rate
+			}
+		}
+	}
+	ps.lastT = now
+}
+
+// reschedule replaces the pending completion event with one for the job
+// that finishes first (the earliest arrival among equals).
+func (ps *ActPSServer) reschedule() {
+	ps.timer.Cancel()
+	ps.timer = sim.Timer{}
+	if len(ps.jobs) == 0 {
+		return
+	}
+	ps.next = 0
+	for i, pj := range ps.jobs {
+		if pj.remaining < ps.jobs[ps.next].remaining {
+			ps.next = i
+		}
+	}
+	dt := ps.jobs[ps.next].remaining * float64(len(ps.jobs))
+	if dt < 0 {
+		dt = 0
+	}
+	ps.timer = ps.k.Schedule(dt, ps.complete)
+}
+
+// finish completes the planned job and forwards it downstream.
+func (ps *ActPSServer) finish() {
+	ps.advance()
+	j := ps.jobs[ps.next].j
+	ps.jobs = slices.Delete(ps.jobs, ps.next, ps.next+1)
+	now := ps.k.Now()
+	ps.Load.Set(now, float64(len(ps.jobs)))
+	ps.Sojourn.Add(now - j.Start)
+	ps.reschedule()
+	if ps.out != nil {
+		ps.out.AcceptAct(ps.k, j)
+	}
+}
+
+// ActClosedLoop keeps a fixed population of jobs circulating through a
+// chain of stations forever — the closed-network counterpart of
+// ActSource. The loop is the chain's terminal node: build the chain with
+// the loop as the last station's output, then Start it with the first
+// station. Each completed circuit is counted, so Throughput gives the
+// metric MVA predicts. A circulating job's Created is reset at the start
+// of every circuit; jobs never leave, the loop ends with the simulation
+// horizon.
+type ActClosedLoop struct {
+	Name string
+	// CycleTimes samples the duration of each completed circuit.
+	CycleTimes stats.Sample
+
+	k          *sim.Kernel
+	population int
+	cycles     int64
+	first      ActNode
+	enter      func(any)
+}
+
+// NewActClosedLoop creates a loop of population jobs (> 0).
+func NewActClosedLoop(k *sim.Kernel, name string, population int) *ActClosedLoop {
+	if population <= 0 {
+		panic(fmt.Sprintf("queueing: NewActClosedLoop(%d jobs)", population))
+	}
+	cl := &ActClosedLoop{Name: name, k: k, population: population}
+	cl.enter = func(x any) {
+		j := x.(*Job)
+		j.Created = cl.k.Now()
+		cl.first.AcceptAct(cl.k, j)
+	}
+	return cl
+}
+
+// Start injects the population into first at the current time, in job
+// ID order.
+func (cl *ActClosedLoop) Start(first ActNode) {
+	cl.first = first
+	for i := 0; i < cl.population; i++ {
+		cl.k.ScheduleArg(0, cl.enter, &Job{ID: int64(i)})
+	}
+}
+
+// AcceptAct completes a circuit and sends the job round again.
+func (cl *ActClosedLoop) AcceptAct(k *sim.Kernel, j *Job) {
+	cl.cycles++
+	cl.CycleTimes.Add(k.Now() - j.Created)
+	cl.enter(j)
+}
+
+// Population returns the circulating job count.
+func (cl *ActClosedLoop) Population() int { return cl.population }
+
+// Cycles returns the number of completed circuits.
+func (cl *ActClosedLoop) Cycles() int64 { return cl.cycles }
+
+// Throughput returns completed circuits per unit time over [0, now].
+func (cl *ActClosedLoop) Throughput(now sim.Time) float64 {
+	if now <= 0 {
+		return 0
+	}
+	return float64(cl.cycles) / now
 }

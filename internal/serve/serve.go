@@ -427,18 +427,21 @@ func (s *Server) runFlight(fl *flight) {
 }
 
 // finish publishes the flight's outcome to every waiter and retires it.
+// The completion counters move before close(fl.done): a waiter answers
+// as soon as done closes, and a client that reads /metrics after its
+// response must see its flight counted.
 func (s *Server) finish(fl *flight, status int, resp RunResponse) {
 	s.mu.Lock()
 	delete(s.flights, fl.key)
 	s.mu.Unlock()
 	fl.status, fl.resp = status, resp
-	close(fl.done)
-	fl.cancel()
 	if status == http.StatusOK {
 		s.completed.Add(1)
 	} else {
 		s.failed.Add(1)
 	}
+	close(fl.done)
+	fl.cancel()
 	s.inflight.Done()
 }
 

@@ -82,6 +82,50 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCountersMoveBeforeResponse: a flight's completion counter moves
+// before any waiter answers, so Metrics read right after each response
+// counts every flight answered so far — successes and failures alike.
+// The stub hangs many derived contexts off the flight's context, which
+// makes the worker's cancel of it slow: bookkeeping left until after that
+// cancel would still be pending when the waiter reads Metrics.
+func TestCountersMoveBeforeResponse(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 4})
+	defer drain(t, s)
+	var cancels []context.CancelFunc // touched only by the single worker
+	t.Cleanup(func() {
+		for _, c := range cancels {
+			c()
+		}
+	})
+	s.run = func(ctx context.Context, r scenario.Resolved) (engine.Result, error) {
+		for i := 0; i < 2000; i++ {
+			_, cancel := context.WithCancel(ctx)
+			cancels = append(cancels, cancel)
+		}
+		if r.Seed%3 == 0 {
+			return engine.Result{}, fmt.Errorf("stub failure for seed %d", r.Seed)
+		}
+		return okResult()
+	}
+	h := s.Handler()
+	var ok, failed int64
+	for seed := 1; seed <= 30; seed++ {
+		code, resp, _ := postSpec(t, h, fmt.Sprintf(`{"preset":"paper-baseline","seed":%d}`, seed))
+		if code == http.StatusOK {
+			ok++
+		} else {
+			failed++
+		}
+		if m := s.Metrics(); m.Completed != ok || m.Failed != failed {
+			t.Fatalf("after response %d (status %d, error %q): completed %d failed %d, want %d and %d",
+				seed, code, resp.Error, m.Completed, m.Failed, ok, failed)
+		}
+	}
+	if failed == 0 || ok == 0 {
+		t.Fatalf("stub produced %d successes and %d failures, want both", ok, failed)
+	}
+}
+
 func TestReplicatedRunAggregates(t *testing.T) {
 	s := New(Options{})
 	defer drain(t, s)

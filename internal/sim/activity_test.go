@@ -1,10 +1,10 @@
 package sim
 
-// Tests of the activity execution mode: equivalence with the Proc mode
-// under the property-test model (identical traces, byte-identical across
-// reruns), the Interrupt/Timer.Cancel/Advance interplay, mixed
-// Proc+Activity models, and allocation guards pinning the inline paths at
-// zero.
+// Tests of activities: serial and partitioned runs of random workloads
+// agree event for event and rerun byte-identically, the
+// Interrupt/Timer.Cancel/Advance interplay, activities mixed with plain
+// callbacks, model-bug reporting, and allocation guards pinning the
+// inline paths at zero.
 
 import (
 	"errors"
@@ -30,7 +30,7 @@ func (r *recTracer) ProcState(t Time, name, state string) {
 }
 
 // workerPlan is one worker's precomputed schedule: alternating waits and
-// resource holds. Both execution modes consume the same plan, so any
+// resource holds. Every run of a model consumes the same plans, so any
 // trajectory difference is the kernel's fault, not sampling noise.
 type workerPlan struct {
 	waits []Time
@@ -50,29 +50,7 @@ func makePlans(seed uint64, workers, steps int) []workerPlan {
 	return plans
 }
 
-// runPlansProc executes the plans as processes; returns the trace, final
-// time, and total grants.
-func runPlansProc(plans []workerPlan, capacity int) ([]traceEvent, Time, int64, error) {
-	k := NewKernel()
-	rec := &recTracer{}
-	k.Tracer = rec
-	r := NewResource(k, "res", capacity, FIFO)
-	for i := range plans {
-		pl := &plans[i]
-		k.Spawn("w", func(c *Context) {
-			for j := range pl.waits {
-				c.Wait(pl.waits[j])
-				r.Acquire(c)
-				c.Wait(pl.holds[j])
-				r.Release(1)
-			}
-		})
-	}
-	now, err := k.RunUntilIdle()
-	return rec.events, now, r.Grants(), err
-}
-
-// planWorker is the activity-mode form of the same worker.
+// planWorker executes one plan as a hand-rolled state machine.
 type planWorker struct {
 	pl    *workerPlan
 	r     *Resource
@@ -108,19 +86,6 @@ func (w *planWorker) Step(a *ActCtx) {
 	}
 }
 
-// runPlansAct executes the plans as activities.
-func runPlansAct(plans []workerPlan, capacity int) ([]traceEvent, Time, int64, error) {
-	k := NewKernel()
-	rec := &recTracer{}
-	k.Tracer = rec
-	r := NewResource(k, "res", capacity, FIFO)
-	for i := range plans {
-		k.SpawnActivity("w", &planWorker{pl: &plans[i], r: r})
-	}
-	now, err := k.RunUntilIdle()
-	return rec.events, now, r.Grants(), err
-}
-
 func tracesEqual(a, b []traceEvent) bool {
 	if len(a) != len(b) {
 		return false
@@ -133,26 +98,28 @@ func tracesEqual(a, b []traceEvent) bool {
 	return true
 }
 
-// TestActivityProcTraceEquivalence: for any random workload the activity
-// mode produces the exact event trajectory of the process mode — same
-// trace (times, order, states), same final time, same grant count — and
-// the activity run is byte-identical across reruns.
-func TestActivityProcTraceEquivalence(t *testing.T) {
-	err := quick.Check(func(seed uint64, wRaw, sRaw, cRaw uint8) bool {
-		workers := 1 + int(wRaw%8)
-		steps := 1 + int(sRaw%12)
-		capacity := 1 + int(cRaw%3)
-		plans := makePlans(seed, workers, steps)
-		pTrace, pNow, pGrants, pErr := runPlansProc(plans, capacity)
-		aTrace, aNow, aGrants, aErr := runPlansAct(plans, capacity)
-		if pErr != nil || aErr != nil {
+// TestActivityParKernelTraceEquivalence: for any random workload the
+// partitioned kernel reproduces the serial kernel's exact trajectory
+// (see checkParRun), and the serial run is byte-identical across reruns.
+// It is the randomized counterpart of TestParKernelTraceEquivalence's
+// fixed matrix.
+func TestActivityParKernelTraceEquivalence(t *testing.T) {
+	err := quick.Check(func(seed uint64, cRaw, wRaw, sRaw, pRaw uint8) bool {
+		copies := 1 + int(cRaw%6)
+		spec := makeParModel(seed, copies, 1+int(wRaw%6), 1+int(sRaw%10), 6)
+		parts := 1 + int(pRaw%4)
+		want, err := runParModelSerial(spec)
+		if err != nil {
 			return false
 		}
-		aTrace2, aNow2, _, aErr2 := runPlansAct(plans, capacity)
-		if aErr2 != nil || aNow2 != aNow || !tracesEqual(aTrace, aTrace2) {
-			return false // activity rerun not byte-identical
+		again, err := runParModelSerial(spec)
+		if err != nil || again.now != want.now || again.seq != want.seq ||
+			!tracesEqual(again.traces[0], want.traces[0]) {
+			return false // serial rerun not byte-identical
 		}
-		return pNow == aNow && pGrants == aGrants && tracesEqual(pTrace, aTrace)
+		assign := parAssignments(copies, parts)["strided"]
+		got, err := runParModelPartitioned(spec, parts, parts, assign)
+		return err == nil && checkParRun(want, got, parts, assign) == nil
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
 		t.Error(err)
@@ -273,139 +240,16 @@ func TestScheduleArgDelivery(t *testing.T) {
 	}
 }
 
-// TestMixedProcActivityOrdering: processes and activities contending the
-// same FIFO resource are granted strictly in request order, regardless of
-// mode.
-func TestMixedProcActivityOrdering(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "res", 1, FIFO)
-	var order []int
-	const each = 8
-	for i := 0; i < each; i++ {
-		id := 2 * i
-		at := Time(i)
-		k.SpawnAt(at, "p", func(c *Context) {
-			r.Acquire(c)
-			order = append(order, id)
-			c.Wait(3)
-			r.Release(1)
-		})
-		aid := 2*i + 1
-		k.SpawnActivityAt(at+0.5, "a", &mixedAcquirer{r: r, id: aid, order: &order})
-	}
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2*each {
-		t.Fatalf("grants = %d, want %d", len(order), 2*each)
-	}
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("grant order %v: position %d got %d", order, i, id)
-		}
-	}
-}
-
-type mixedAcquirer struct {
-	r     *Resource
-	id    int
-	order *[]int
-	state int
-}
-
-func (m *mixedAcquirer) Step(a *ActCtx) {
-	switch m.state {
-	case 0:
-		m.state = 1
-		if !m.r.Acquire1Act(a) {
-			return
-		}
-		fallthrough
-	case 1:
-		*m.order = append(*m.order, m.id)
-		m.state = 2
-		a.Wait(3)
-	case 2:
-		m.r.Release(1)
-		a.Exit()
-	}
-}
-
-// TestMixedProcActivityStore: values flow between the two modes through
-// one store in FIFO order, in both directions.
-func TestMixedProcActivityStore(t *testing.T) {
-	k := NewKernel()
-	s := NewStore[int](k, "box")
-	var actGot, procGot []int
-	// Proc producer -> activity consumer.
-	k.Spawn("producer", func(c *Context) {
-		for i := 0; i < 10; i++ {
-			c.Wait(1)
-			s.Put(c, i)
-		}
-	})
-	k.SpawnActivity("consumer", ActivityFunc(func(a *ActCtx) {
-		for {
-			v, ok := s.GetAct(a)
-			if !ok {
-				return
-			}
-			actGot = append(actGot, v)
-			if len(actGot) == 10 {
-				a.Exit()
-				return
-			}
-		}
-	}))
-	// Activity producer -> proc consumer.
-	s2 := NewStore[int](k, "box2")
-	k.SpawnActivity("producer2", &actProducer{s: s2, n: 10})
-	k.Spawn("consumer2", func(c *Context) {
-		for i := 0; i < 10; i++ {
-			procGot = append(procGot, s2.Get(c))
-		}
-	})
-	if _, err := k.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if actGot[i] != i || procGot[i] != i {
-			t.Fatalf("actGot = %v, procGot = %v", actGot, procGot)
-		}
-	}
-}
-
-type actProducer struct {
-	s *Store[int]
-	n int
-	i int
-}
-
-func (p *actProducer) Step(a *ActCtx) {
-	if p.i > 0 {
-		p.s.TryPut(p.i - 1)
-	}
-	if p.i == p.n {
-		a.Exit()
-		return
-	}
-	p.i++
-	a.Wait(1)
-}
-
-// TestActivitySignalJoin: a WaitGroup joins activities and processes
-// together; the joiner (an activity) resumes only after every member is
-// done.
+// TestActivitySignalJoin: a WaitGroup joins activities and plain
+// callbacks together; the joiner (an activity) resumes only after every
+// member is done.
 func TestActivitySignalJoin(t *testing.T) {
 	k := NewKernel()
 	wg := NewWaitGroup(k, "join", 4)
 	var joinedAt Time = -1
 	for i := 0; i < 2; i++ {
 		d := Time(10 * (i + 1))
-		k.Spawn("p", func(c *Context) {
-			c.Wait(d)
-			wg.Done()
-		})
+		k.Schedule(d, wg.Done)
 		k.SpawnActivity("a", &delayedDone{wg: wg, d: d + 5})
 	}
 	k.SpawnActivity("joiner", ActivityFunc(func(a *ActCtx) {
@@ -528,12 +372,10 @@ func TestActivityCrossStoreGetPanics(t *testing.T) {
 	}
 }
 
-// TestMixedModelsParallelRace drives several independent mixed
-// Proc+Activity kernels from concurrent goroutines. Under -race this
-// checks two things: activity state stepped from whichever goroutine
-// happens to dispatch (controller or a parked process) is properly
-// ordered by the handoff protocol, and kernels share no hidden package
-// state.
+// TestMixedModelsParallelRace drives several independent kernels, each
+// mixing state-machine and script activities over a resource and a store,
+// from concurrent goroutines. Under -race this checks that kernels share
+// no hidden package state.
 func TestMixedModelsParallelRace(t *testing.T) {
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -547,16 +389,12 @@ func TestMixedModelsParallelRace(t *testing.T) {
 				k.SpawnActivity("a", &planWorker{pl: &plans[i], r: r})
 			}
 			for i := 0; i < 4; i++ {
-				i := i
-				k.Spawn("p", func(c *Context) {
-					for j := 0; j < 20; j++ {
-						c.Wait(0.7)
-						r.Acquire(c)
-						c.Wait(0.3)
-						r.Release(1)
-						s.Put(c, i*100+j)
-					}
-				})
+				var stages []stage
+				for j := 0; j < 20; j++ {
+					stages = append(stages, wait(0.7), acquire(r, 1, 0), wait(0.3),
+						release(r, 1), put(s, i*100+j))
+				}
+				spawnScript(k, 0, "p", stages...)
 			}
 			k.SpawnActivity("drain", ActivityFunc(func(a *ActCtx) {
 				for {

@@ -6,23 +6,36 @@ import (
 	"repro/internal/sim"
 )
 
-// A minimal two-process simulation: a producer feeds a store, a consumer
+// A minimal two-activity simulation: a producer feeds a store, a consumer
 // drains it, the kernel interleaves them deterministically.
 func Example() {
 	k := sim.NewKernel()
 	box := sim.NewStore[string](k, "box")
-	k.Spawn("producer", func(c *sim.Context) {
-		c.Wait(5)
-		box.Put(c, "hello")
-		c.Wait(5)
-		box.Put(c, "world")
-	})
-	k.Spawn("consumer", func(c *sim.Context) {
-		for i := 0; i < 2; i++ {
-			msg := box.Get(c)
-			fmt.Printf("t=%v: %s\n", c.Now(), msg)
+	msgs := []string{"hello", "world"}
+	sent := 0
+	k.SpawnActivity("producer", sim.ActivityFunc(func(a *sim.ActCtx) {
+		if a.Now() > 0 {
+			box.TryPut(msgs[sent])
+			sent++
 		}
-	})
+		if sent == len(msgs) {
+			a.Exit()
+			return
+		}
+		a.Wait(5)
+	}))
+	received := 0
+	k.SpawnActivity("consumer", sim.ActivityFunc(func(a *sim.ActCtx) {
+		for received < len(msgs) {
+			msg, ok := box.GetAct(a)
+			if !ok {
+				return // stepped again when an item arrives
+			}
+			fmt.Printf("t=%v: %s\n", a.Now(), msg)
+			received++
+		}
+		a.Exit()
+	}))
 	if _, err := k.RunUntilIdle(); err != nil {
 		panic(err)
 	}
@@ -31,18 +44,37 @@ func Example() {
 	// t=10: world
 }
 
+// job takes the cpu, holds it for 10 cycles, and releases it.
+type job struct {
+	id    int
+	cpu   *sim.Resource
+	state int
+}
+
+func (j *job) Step(a *sim.ActCtx) {
+	switch j.state {
+	case 0:
+		j.state = 1
+		if !j.cpu.Acquire1Act(a) {
+			return // stepped again holding the grant
+		}
+		fallthrough
+	case 1:
+		j.state = 2
+		a.Wait(10)
+	case 2:
+		j.cpu.Release(1)
+		fmt.Printf("job %d done at t=%v\n", j.id, a.Now())
+		a.Exit()
+	}
+}
+
 // Resources model servers: capacity 1 makes jobs queue FIFO.
 func ExampleResource() {
 	k := sim.NewKernel()
 	cpu := sim.NewResource(k, "cpu", 1, sim.FIFO)
 	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("job", func(c *sim.Context) {
-			cpu.Acquire(c)
-			c.Wait(10)
-			cpu.Release(1)
-			fmt.Printf("job %d done at t=%v\n", i, c.Now())
-		})
+		k.SpawnActivity("job", &job{id: i, cpu: cpu})
 	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		panic(err)

@@ -49,9 +49,9 @@ import (
 )
 
 // shardState is the per-shard half of a partitioned run, hung off
-// Kernel.par. During a window it is touched only by the worker (and the
-// process goroutines) driving that shard; the coordinator touches it only
-// between windows, with channel synchronization ordering the two.
+// Kernel.par. During a window it is touched only by the worker driving
+// that shard; the coordinator touches it only between windows, with
+// channel synchronization ordering the two.
 type shardState struct {
 	pk  *ParKernel
 	idx int
@@ -270,12 +270,23 @@ func NewParKernel(parts, workers int, lookahead Time) *ParKernel {
 	}
 	pk.parts = make([]*Kernel, parts)
 	for i := range pk.parts {
-		k := NewKernel()
+		k := &(&shardKernel{k: *NewKernel()}).k
 		k.par = &shardState{pk: pk, idx: i}
 		pk.parts[i] = k
 		pk.pq.parts[i] = &k.events
 	}
 	return pk
+}
+
+// shardKernel is one shard's kernel padded by a cache line on each side.
+// Every worker writes its shard's clock, queue and free list on every
+// event; shard kernels allocated back to back would share cache lines
+// across workers (a 240-byte Kernel in the 240-byte size class did, and
+// the partitioned parcel-scale-1k run lost a fifth of its speed to it).
+type shardKernel struct {
+	_ [64]byte
+	k Kernel
+	_ [64]byte
 }
 
 // Part returns shard i's kernel.
@@ -332,7 +343,7 @@ func (pk *ParKernel) startWorkers() {
 				for s := w; s < len(pk.parts); s += pk.workers {
 					k := pk.parts[s]
 					if !k.stopped {
-						k.windowDrain(job.h, job.strict)
+						k.drain(job.h, true, job.strict)
 					}
 				}
 				pk.done <- struct{}{}
@@ -365,13 +376,6 @@ func (pk *ParKernel) Close() {
 	clear(sc.deliveries[:cap(sc.deliveries)])
 	pk.scratch = nil
 	replayPool.Put(sc)
-}
-
-// windowDrain drains one shard for one window; runs on a worker.
-func (k *Kernel) windowDrain(h Time, strict bool) {
-	k.strict = strict
-	k.drain(h, true)
-	k.strict = false
 }
 
 // collect folds shard status into the run: the first error (lowest shard
@@ -499,7 +503,7 @@ func (pk *ParKernel) merge(base uint64) {
 }
 
 // Advance runs the partitioned simulation up to simulated time `until`
-// without killing anything; every shard's Now() is `until` afterwards
+// without finishing anything; every shard's Now() is `until` afterwards
 // (unless Stop was requested). The worker pool stays up for the next
 // call — Close it when done.
 func (pk *ParKernel) Advance(until Time) error {
@@ -535,8 +539,8 @@ func (pk *ParKernel) Run(until Time) error {
 }
 
 // AdvanceUntilIdle runs the partitioned simulation until no events remain
-// anywhere, without shutting anything down: blocked processes and
-// activities stay parked and the worker pool stays up, so a phased model
+// anywhere, without shutting anything down: blocked activities stay
+// registered and the worker pool stays up, so a phased model
 // can spawn its next phase and drive it with another Advance* call.
 // Afterwards every shard's clock stands at the returned time (the latest
 // shard time), giving the next phase a common start — shards that went
@@ -545,7 +549,7 @@ func (pk *ParKernel) Run(until Time) error {
 func (pk *ParKernel) AdvanceUntilIdle() (Time, error) {
 	if len(pk.parts) == 1 {
 		k := pk.parts[0]
-		k.drain(0, false)
+		k.drain(0, false, false)
 		return k.now, k.err
 	}
 	pk.runWindows(0, false)
@@ -563,7 +567,7 @@ func (pk *ParKernel) AdvanceUntilIdle() (Time, error) {
 
 // RunUntilIdle advances until no events remain anywhere, returning the
 // final simulated time (the latest shard time) and ErrDeadlock if blocked
-// processes or activities remain on any shard. The worker pool is
+// activities remain on any shard. The worker pool is
 // stopped.
 func (pk *ParKernel) RunUntilIdle() (Time, error) {
 	if len(pk.parts) == 1 {
@@ -577,7 +581,7 @@ func (pk *ParKernel) RunUntilIdle() (Time, error) {
 	}
 	blocked := 0
 	for _, k := range pk.parts {
-		blocked += k.live + k.actsBlocked
+		blocked += k.actsBlocked
 	}
 	pk.shutdown()
 	if pk.err != nil {
@@ -604,8 +608,8 @@ func (pk *ParKernel) Stop() {
 // Err returns the run's first recorded error.
 func (pk *ParKernel) Err() error { return pk.err }
 
-// shutdown kills shard processes and activities shard by shard in index
-// order, then stops the workers.
+// shutdown finishes shard activities shard by shard in index order, then
+// stops the workers.
 func (pk *ParKernel) shutdown() {
 	for _, k := range pk.parts {
 		k.shutdown()

@@ -1,9 +1,9 @@
 package sim
 
 // Tests of the partitioned kernel (parallel.go): byte-identical
-// trajectories against the serial kernel for mixed Proc+Activity models
-// across worker counts and partition assignments — the partitioned
-// extension of TestActivityProcTraceEquivalence — plus the window
+// trajectories against the serial kernel across partition counts, worker
+// counts and partition assignments — a fixed matrix, a randomized check
+// (TestActivityParKernelTraceEquivalence) and a fuzzer — plus the window
 // mechanics (incremental Advance, infinite lookahead, lookahead
 // violation surfacing, deadlock parity) and the queue empty-pop
 // contract's kernel-facing consequences. Run under -race these tests
@@ -20,8 +20,8 @@ import (
 	"repro/internal/rng"
 )
 
-// copyState is one replicated model copy: a resource contended by mixed
-// proc/activity workers, and a ping counter bumped only by cross-copy
+// copyState is one replicated model copy: a resource contended by
+// workers, and a ping counter bumped only by cross-copy
 // deliveries (so it exercises the barrier merge when copies land on
 // different partitions).
 type copyState struct {
@@ -55,9 +55,9 @@ func (p *pinger) Step(a *ActCtx) {
 	p.i++
 }
 
-// buildCopy constructs copy g on kernel k: even-index workers are
-// processes, odd-index workers are activities, all contending one FIFO
-// resource.
+// buildCopy constructs copy g on kernel k: even-index workers are script
+// activities, odd-index workers hand-rolled state machines, all
+// contending one FIFO resource.
 func buildCopy(k *Kernel, g, capacity int, plans []workerPlan) *copyState {
 	cs := &copyState{g: g}
 	cs.res = NewResource(k, fmt.Sprintf("g%d/res", g), capacity, FIFO)
@@ -65,15 +65,12 @@ func buildCopy(k *Kernel, g, capacity int, plans []workerPlan) *copyState {
 		pl := &plans[i]
 		name := fmt.Sprintf("g%d/w%d", g, i)
 		if i%2 == 0 {
-			r := cs.res
-			k.Spawn(name, func(c *Context) {
-				for j := range pl.waits {
-					c.Wait(pl.waits[j])
-					r.Acquire(c)
-					c.Wait(pl.holds[j])
-					r.Release(1)
-				}
-			})
+			var stages []stage
+			for j := range pl.waits {
+				stages = append(stages, wait(pl.waits[j]), acquire(cs.res, 1, 0),
+					wait(pl.holds[j]), release(cs.res, 1))
+			}
+			spawnScript(k, k.Now(), name, stages...)
 		} else {
 			k.SpawnActivity(name, &planWorker{pl: pl, r: cs.res})
 		}
@@ -197,15 +194,41 @@ func parAssignments(copies, parts int) map[string]func(g int) int {
 	}
 }
 
-// TestParKernelTraceEquivalence is the partitioned extension of
-// TestActivityProcTraceEquivalence: the same mixed Proc+Activity model,
-// replicated and wired into a cross-partition ping ring, produces the
-// serial kernel's exact trajectory — per-partition traces equal to the
-// serial trace restricted to each partition's copies, identical grant
-// and ping counts, identical final time, and an identical final value of
-// the schedule counter (the sharpest witness that the barrier's replay
-// renumbering reproduced every serial sequence number) — for every
-// tested partition count, worker count, and assignment function.
+// checkParRun compares a partitioned run against the serial run of the
+// same model: per-partition traces equal to the serial trace restricted
+// to each partition's copies, identical grant and ping counts, identical
+// final time, and an identical final value of the schedule counter (the
+// sharpest witness that the barrier's replay renumbering reproduced every
+// serial sequence number).
+func checkParRun(want, got parRunResult, parts int, assign func(g int) int) error {
+	if got.now != want.now {
+		return fmt.Errorf("final time %g, serial %g", got.now, want.now)
+	}
+	if got.seq != want.seq {
+		return fmt.Errorf("final schedule counter %d, serial %d", got.seq, want.seq)
+	}
+	for g := range want.grants {
+		if got.grants[g] != want.grants[g] {
+			return fmt.Errorf("copy %d grants %d, serial %d", g, got.grants[g], want.grants[g])
+		}
+		if got.pings[g] != want.pings[g] {
+			return fmt.Errorf("copy %d pings %d, serial %d", g, got.pings[g], want.pings[g])
+		}
+	}
+	for p := 0; p < parts; p++ {
+		ref := filterTrace(want.traces[0], parts, assign, p)
+		if !tracesEqual(got.traces[p], ref) {
+			return fmt.Errorf("partition %d trace diverges from serial restriction (%d vs %d events)",
+				p, len(got.traces[p]), len(ref))
+		}
+	}
+	return nil
+}
+
+// TestParKernelTraceEquivalence: a model replicated and wired into a
+// cross-partition ping ring produces the serial kernel's exact
+// trajectory (see checkParRun) for every tested partition count, worker
+// count, and assignment function.
 func TestParKernelTraceEquivalence(t *testing.T) {
 	const copies = 8
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
@@ -223,26 +246,8 @@ func TestParKernelTraceEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got.now != want.now {
-							t.Fatalf("final time %g, serial %g", got.now, want.now)
-						}
-						if got.seq != want.seq {
-							t.Fatalf("final schedule counter %d, serial %d", got.seq, want.seq)
-						}
-						for g := 0; g < copies; g++ {
-							if got.grants[g] != want.grants[g] {
-								t.Fatalf("copy %d grants %d, serial %d", g, got.grants[g], want.grants[g])
-							}
-							if got.pings[g] != want.pings[g] {
-								t.Fatalf("copy %d pings %d, serial %d", g, got.pings[g], want.pings[g])
-							}
-						}
-						for p := 0; p < parts; p++ {
-							ref := filterTrace(want.traces[0], parts, assign, p)
-							if !tracesEqual(got.traces[p], ref) {
-								t.Fatalf("partition %d trace diverges from serial restriction (%d vs %d events)",
-									p, len(got.traces[p]), len(ref))
-							}
+						if err := checkParRun(want, got, parts, assign); err != nil {
+							t.Fatal(err)
 						}
 					})
 				}
@@ -375,12 +380,12 @@ func TestParKernelSendLookaheadViolation(t *testing.T) {
 	}
 }
 
-// TestParKernelDeadlockParity: a starved process on one shard reports
+// TestParKernelDeadlockParity: a starved activity on one shard reports
 // ErrDeadlock exactly as the serial kernel does.
 func TestParKernelDeadlockParity(t *testing.T) {
 	build := func(k *Kernel) {
 		s := NewStore[int](k, "empty")
-		k.Spawn("starved", func(c *Context) { s.Get(c) })
+		spawnScript(k, 0, "starved", get(s, nil))
 	}
 	sk := NewKernel()
 	build(sk)
@@ -412,4 +417,36 @@ func TestParKernelSetupSend(t *testing.T) {
 	if len(got) != 2 || got[0] != "setup" || got[1] != "between" {
 		t.Fatalf("deliveries = %v", got)
 	}
+}
+
+// FuzzParKernel: the fuzzer picks the model (seed and copy count) and the
+// partitioning (shard count 1-8, worker count, contiguous or strided
+// assignment); the partitioned run must reproduce the serial run exactly
+// (see checkParRun).
+func FuzzParKernel(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(4), uint8(2), false)
+	f.Add(uint64(7), uint8(3), uint8(7), uint8(7), true)
+	f.Add(uint64(42), uint8(1), uint8(0), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed uint64, copiesRaw, partsRaw, workersRaw uint8, strided bool) {
+		copies := 1 + int(copiesRaw%12)
+		parts := 1 + int(partsRaw%8)
+		workers := 1 + int(workersRaw)%parts
+		spec := makeParModel(seed, copies, 3, 4, 6)
+		aname := "contig"
+		if strided {
+			aname = "strided"
+		}
+		assign := parAssignments(copies, parts)[aname]
+		want, err := runParModelSerial(spec)
+		if err != nil {
+			t.Fatalf("serial run: %v", err)
+		}
+		got, err := runParModelPartitioned(spec, parts, workers, assign)
+		if err != nil {
+			t.Fatalf("partitioned run (p%d/w%d/%s): %v", parts, workers, aname, err)
+		}
+		if err := checkParRun(want, got, parts, assign); err != nil {
+			t.Fatalf("p%d/w%d/%s: %v", parts, workers, aname, err)
+		}
+	})
 }

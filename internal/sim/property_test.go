@@ -27,15 +27,16 @@ func TestResourceConservationProperty(t *testing.T) {
 			n := 1 + st.Intn(capacity)
 			delay := st.Exp(5)
 			hold := st.Exp(3)
-			k.SpawnAt(delay, "job", func(c *Context) {
-				r.AcquireN(c, n, 0)
-				if r.InUse() > r.Capacity() || r.InUse() < 0 {
-					violations++
-				}
-				c.Wait(hold)
-				r.Release(n)
-				releases++
-			})
+			spawnScript(k, delay, "job",
+				acquire(r, n, 0),
+				do(func(*ActCtx) {
+					if r.InUse() > r.Capacity() || r.InUse() < 0 {
+						violations++
+					}
+				}),
+				wait(hold),
+				release(r, n),
+				do(func(*ActCtx) { releases++ }))
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			return false
@@ -59,15 +60,12 @@ func TestStoreConservationProperty(t *testing.T) {
 		got := 0
 		for i := 0; i < nPuts; i++ {
 			v := i
-			k.SpawnAt(st.Exp(3), "put", func(c *Context) { s.Put(c, v) })
+			spawnScript(k, st.Exp(3), "put", put(s, v))
 		}
 		for i := 0; i < nGets; i++ {
-			k.SpawnAt(st.Exp(3), "get", func(c *Context) {
-				_ = s.Get(c)
-				got++
-			})
+			spawnScript(k, st.Exp(3), "get", get(s, func(int) { got++ }))
 		}
-		// Run bounded: excess getters stay blocked and are killed.
+		// Run bounded: excess getters stay blocked and are finished.
 		if err := k.Run(1e7); err != nil {
 			return false
 		}
@@ -83,7 +81,7 @@ func TestStoreConservationProperty(t *testing.T) {
 	}
 }
 
-// TestClockMonotonicityProperty: a process observes non-decreasing time
+// TestClockMonotonicityProperty: an activity observes non-decreasing time
 // across arbitrary waits and resource interactions.
 func TestClockMonotonicityProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
@@ -92,25 +90,7 @@ func TestClockMonotonicityProperty(t *testing.T) {
 		r := NewResource(k, "res", 2, FIFO)
 		ok := true
 		for i := 0; i < 10; i++ {
-			k.Spawn("p", func(c *Context) {
-				last := c.Now()
-				for step := 0; step < 20; step++ {
-					switch st.Intn(3) {
-					case 0:
-						c.Wait(st.Exp(2))
-					case 1:
-						r.Acquire(c)
-						c.Wait(st.Exp(1))
-						r.Release(1)
-					case 2:
-						c.Yield()
-					}
-					if c.Now() < last {
-						ok = false
-					}
-					last = c.Now()
-				}
-			})
+			k.SpawnActivity("p", &wanderer{st: st, r: r, ok: &ok})
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			return false
@@ -119,6 +99,53 @@ func TestClockMonotonicityProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// wanderer takes 20 random steps — a wait, a resource hold, or a yield —
+// and clears *ok if it ever observes the clock going backwards.
+type wanderer struct {
+	st    *rng.Stream
+	r     *Resource
+	ok    *bool
+	last  Time
+	steps int
+	state int // 0: choose a step; 1: granted, start the hold; 2: hold over
+}
+
+func (w *wanderer) Step(a *ActCtx) {
+	if a.Now() < w.last {
+		*w.ok = false
+	}
+	w.last = a.Now()
+	for {
+		switch w.state {
+		case 1:
+			w.state = 2
+			a.Wait(w.st.Exp(1))
+			return
+		case 2:
+			w.r.Release(1)
+			w.state = 0
+		}
+		if w.steps == 20 {
+			a.Exit()
+			return
+		}
+		w.steps++
+		switch w.st.Intn(3) {
+		case 0:
+			a.Wait(w.st.Exp(2))
+			return
+		case 1:
+			w.state = 1
+			if !w.r.Acquire1Act(a) {
+				return
+			}
+		case 2:
+			a.Yield()
+			return
+		}
 	}
 }
 
@@ -138,13 +165,11 @@ func TestFIFOOrderProperty(t *testing.T) {
 		for j := 0; j < jobs; j++ {
 			j := j
 			at := st.Exp(1)
-			k.SpawnAt(at, "job", func(c *Context) {
-				arr := c.Now()
-				r.Acquire(c)
-				grants = append(grants, rec{arrival: arr, index: j})
-				c.Wait(st.Exp(4))
-				r.Release(1)
-			})
+			spawnScript(k, at, "job",
+				acquire(r, 1, 0),
+				do(func(*ActCtx) { grants = append(grants, rec{arrival: at, index: j}) }),
+				do(func(a *ActCtx) { a.Wait(st.Exp(4)) }),
+				release(r, 1))
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			return false
@@ -175,11 +200,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		for demand < 2*horizon {
 			d := st.Exp(20)
 			demand += d
-			k.Spawn("job", func(c *Context) {
-				r.Acquire(c)
-				c.Wait(d)
-				r.Release(1)
-			})
+			spawnScript(k, 0, "job", acquire(r, 1, 0), wait(d), release(r, 1))
 		}
 		if err := k.Run(horizon); err != nil {
 			return false

@@ -7,6 +7,60 @@ import (
 	"repro/internal/rng"
 )
 
+// stage is one straight-line piece of a script activity. It issues at
+// most one wait and reports whether the script moves on to the next
+// stage; a GetAct that registered reports false, so the resumed script
+// repeats the stage to collect its delivery.
+type stage func(a *ActCtx) bool
+
+// script is a test activity written as a list of stages: it runs stages
+// inline until one leaves a resumption pending, continues from there when
+// resumed, and exits after the last. It lets a test spell a transaction
+// as sequential code without a hand-rolled state machine.
+type script struct {
+	stages []stage
+	pc     int
+}
+
+func (s *script) Step(a *ActCtx) {
+	for s.pc < len(s.stages) {
+		if s.stages[s.pc](a) {
+			s.pc++
+		}
+		if a.pending {
+			return
+		}
+	}
+	a.Exit()
+}
+
+// spawnScript starts a script activity at absolute time t.
+func spawnScript(k *Kernel, t Time, name string, stages ...stage) *ActCtx {
+	return k.SpawnActivityAt(t, name, &script{stages: stages})
+}
+
+func do(f func(a *ActCtx)) stage { return func(a *ActCtx) bool { f(a); return true } }
+
+func wait(d Time) stage { return do(func(a *ActCtx) { a.Wait(d) }) }
+
+func acquire(r *Resource, n int, prio float64) stage {
+	return do(func(a *ActCtx) { r.AcquireAct(a, n, prio) })
+}
+
+func release(r *Resource, n int) stage { return do(func(*ActCtx) { r.Release(n) }) }
+
+func put[T any](s *Store[T], v T) stage { return do(func(a *ActCtx) { s.PutAct(a, v) }) }
+
+func get[T any](s *Store[T], got func(T)) stage {
+	return func(a *ActCtx) bool {
+		v, ok := s.GetAct(a)
+		if ok && got != nil {
+			got(v)
+		}
+		return ok
+	}
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
@@ -65,17 +119,15 @@ func TestTimerCancel(t *testing.T) {
 func TestProcessWait(t *testing.T) {
 	k := NewKernel()
 	var times []Time
-	k.Spawn("p", func(c *Context) {
-		times = append(times, c.Now())
-		c.Wait(3)
-		times = append(times, c.Now())
-		c.Wait(4)
-		times = append(times, c.Now())
-	})
+	mark := do(func(a *ActCtx) { times = append(times, a.Now()) })
+	spawnScript(k, 0, "p", mark, wait(3), mark, wait(4), mark)
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	want := []Time{0, 3, 7}
+	if len(times) != len(want) {
+		t.Fatalf("times = %v, want %v", times, want)
+	}
 	for i := range want {
 		if times[i] != want[i] {
 			t.Fatalf("times = %v, want %v", times, want)
@@ -83,55 +135,48 @@ func TestProcessWait(t *testing.T) {
 	}
 }
 
-func TestSpawnAt(t *testing.T) {
+func TestSpawnActivityAt(t *testing.T) {
 	k := NewKernel()
 	var start Time = -1
-	k.SpawnAt(42, "late", func(c *Context) { start = c.Now() })
+	spawnScript(k, 42, "late", do(func(a *ActCtx) { start = a.Now() }))
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	if start != 42 {
-		t.Errorf("process started at %g, want 42", start)
+		t.Errorf("activity started at %g, want 42", start)
 	}
 }
 
 func TestRunKillsBlockedProcesses(t *testing.T) {
 	k := NewKernel()
 	reached := false
-	k.Spawn("sleeper", func(c *Context) {
-		c.Wait(1000)
-		reached = true // must never run: killed at t=10
-	})
+	spawnScript(k, 0, "sleeper", wait(1000), do(func(*ActCtx) {
+		reached = true // must never run: the run ends at t=10
+	}))
 	if err := k.Run(10); err != nil {
 		t.Fatal(err)
 	}
 	if reached {
-		t.Fatal("killed process continued past end of run")
+		t.Fatal("activity continued past end of run")
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after Run", k.LiveProcs())
+	if k.LiveActivities() != 0 {
+		t.Fatalf("LiveActivities = %d after Run", k.LiveActivities())
 	}
 }
 
 func TestProcessPanicPropagates(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("bad", func(c *Context) {
-		c.Wait(1)
-		panic("model bug")
-	})
+	spawnScript(k, 0, "bad", wait(1), do(func(*ActCtx) { panic("model bug") }))
 	err := k.Run(10)
 	if err == nil {
-		t.Fatal("expected error from panicking process")
+		t.Fatal("expected error from panicking activity")
 	}
 }
 
 func TestRunUntilIdle(t *testing.T) {
 	k := NewKernel()
 	var end Time
-	k.Spawn("p", func(c *Context) {
-		c.Wait(7)
-		end = c.Now()
-	})
+	spawnScript(k, 0, "p", wait(7), do(func(a *ActCtx) { end = a.Now() }))
 	final, err := k.RunUntilIdle()
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +189,7 @@ func TestRunUntilIdle(t *testing.T) {
 func TestRunUntilIdleDeadlock(t *testing.T) {
 	k := NewKernel()
 	sig := NewSignal(k, "never")
-	k.Spawn("stuck", func(c *Context) { sig.Wait(c) })
+	spawnScript(k, 0, "stuck", do(func(a *ActCtx) { sig.WaitAct(a) }))
 	_, err := k.RunUntilIdle()
 	if err == nil {
 		t.Fatal("expected deadlock error")
@@ -156,16 +201,17 @@ func TestResourceMutualExclusion(t *testing.T) {
 	r := NewResource(k, "cpu", 1, FIFO)
 	var maxConc, conc int
 	for i := 0; i < 5; i++ {
-		k.Spawn("worker", func(c *Context) {
-			r.Acquire(c)
-			conc++
-			if conc > maxConc {
-				maxConc = conc
-			}
-			c.Wait(2)
-			conc--
-			r.Release(1)
-		})
+		spawnScript(k, 0, "worker",
+			acquire(r, 1, 0),
+			do(func(*ActCtx) {
+				conc++
+				if conc > maxConc {
+					maxConc = conc
+				}
+			}),
+			wait(2),
+			do(func(*ActCtx) { conc-- }),
+			release(r, 1))
 	}
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -178,21 +224,29 @@ func TestResourceMutualExclusion(t *testing.T) {
 	}
 }
 
+// orderedHolders spawns n activities, the i-th arriving at time i, that
+// each take r, record their index, hold for 10, and release.
+func orderedHolders(k *Kernel, r *Resource, n int, order *[]int) {
+	for i := 0; i < n; i++ {
+		i := i
+		spawnScript(k, Time(i), "w",
+			acquire(r, 1, 0),
+			do(func(*ActCtx) { *order = append(*order, i) }),
+			wait(10),
+			release(r, 1))
+	}
+}
+
 func TestResourceFIFOOrder(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1, FIFO)
 	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		k.SpawnAt(Time(i), "w", func(c *Context) {
-			r.Acquire(c)
-			order = append(order, i)
-			c.Wait(10)
-			r.Release(1)
-		})
-	}
+	orderedHolders(k, r, 4, &order)
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
+	}
+	if len(order) != 4 {
+		t.Fatalf("grants = %v, want 4", order)
 	}
 	for i := range order {
 		if order[i] != i {
@@ -205,21 +259,16 @@ func TestResourceLIFOOrder(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1, LIFO)
 	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		k.SpawnAt(Time(i), "w", func(c *Context) {
-			r.Acquire(c)
-			order = append(order, i)
-			c.Wait(10)
-			r.Release(1)
-		})
-	}
+	orderedHolders(k, r, 4, &order)
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	// First arrival (t=0) grabs the idle server; the rest queue and are
 	// served newest-first: 0, 3, 2, 1.
 	want := []int{0, 3, 2, 1}
+	if len(order) != len(want) {
+		t.Fatalf("LIFO order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("LIFO order = %v, want %v", order, want)
@@ -234,23 +283,21 @@ func TestResourcePriorityOrder(t *testing.T) {
 	prios := []float64{3, 1, 2}
 	for i := 0; i < 3; i++ {
 		i := i
-		k.SpawnAt(Time(i)+1, "w", func(c *Context) {
-			r.AcquireN(c, 1, prios[i])
-			order = append(order, i)
-			c.Wait(10)
-			r.Release(1)
-		})
+		spawnScript(k, Time(i)+1, "w",
+			acquire(r, 1, prios[i]),
+			do(func(*ActCtx) { order = append(order, i) }),
+			wait(10),
+			release(r, 1))
 	}
 	// A holder occupies the resource while the three contenders arrive.
-	k.Spawn("holder", func(c *Context) {
-		r.Acquire(c)
-		c.Wait(5)
-		r.Release(1)
-	})
+	spawnScript(k, 0, "holder", acquire(r, 1, 0), wait(5), release(r, 1))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 0} // priorities 1, 2, 3
+	if len(order) != len(want) {
+		t.Fatalf("priority order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("priority order = %v, want %v", order, want)
@@ -262,23 +309,16 @@ func TestResourceNUnitGrants(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "mem", 4, FIFO)
 	var events []string
-	k.Spawn("big", func(c *Context) {
-		r.AcquireN(c, 3, 0)
-		events = append(events, "big+")
-		c.Wait(10)
-		r.Release(3)
-		events = append(events, "big-")
-	})
-	k.SpawnAt(1, "bigger", func(c *Context) {
-		r.AcquireN(c, 4, 0) // must wait for all 4
-		events = append(events, "bigger+")
-		r.Release(4)
-	})
-	k.SpawnAt(2, "small", func(c *Context) {
-		r.Acquire(c) // 1 unit free, but must not bypass FIFO head
-		events = append(events, "small+")
-		r.Release(1)
-	})
+	event := func(e string) stage {
+		return do(func(*ActCtx) { events = append(events, e) })
+	}
+	spawnScript(k, 0, "big",
+		acquire(r, 3, 0), event("big+"), wait(10), release(r, 3), event("big-"))
+	// bigger must wait for all 4 units.
+	spawnScript(k, 1, "bigger", acquire(r, 4, 0), event("bigger+"), release(r, 4))
+	// 1 unit is free when small arrives, but it must not bypass the FIFO
+	// head.
+	spawnScript(k, 2, "small", acquire(r, 1, 0), event("small+"), release(r, 1))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,29 +337,39 @@ func TestTryAcquire(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1, FIFO)
 	var got []bool
-	k.Spawn("p", func(c *Context) {
-		got = append(got, r.TryAcquire(c, 1)) // true
-		got = append(got, r.TryAcquire(c, 1)) // false: busy
+	k.Schedule(1, func() {
+		got = append(got, r.TryAcquire(1)) // true
+		got = append(got, r.TryAcquire(1)) // false: busy
 		r.Release(1)
-		got = append(got, r.TryAcquire(c, 1)) // true again
+		got = append(got, r.TryAcquire(1)) // true again
 		r.Release(1)
 	})
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if !got[0] || got[1] || !got[2] {
+	if len(got) != 3 || !got[0] || got[1] || !got[2] {
 		t.Errorf("TryAcquire sequence = %v, want [true false true]", got)
+	}
+	// TryAcquire never jumps a queue: with a waiter registered it fails
+	// even though the units it asks for are free.
+	k2 := NewKernel()
+	r2 := NewResource(k2, "mem", 2, FIFO)
+	spawnScript(k2, 0, "big", acquire(r2, 1, 0), wait(10), release(r2, 1))
+	spawnScript(k2, 1, "queued", acquire(r2, 2, 0), release(r2, 2))
+	var jumped bool
+	k2.Schedule(2, func() { jumped = r2.TryAcquire(1) })
+	if _, err := k2.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if jumped {
+		t.Error("TryAcquire bypassed a queued request")
 	}
 }
 
 func TestResourceUtilization(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1, FIFO)
-	k.Spawn("p", func(c *Context) {
-		r.Acquire(c)
-		c.Wait(30)
-		r.Release(1)
-	})
+	spawnScript(k, 0, "p", acquire(r, 1, 0), wait(30), release(r, 1))
 	if err := k.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -332,19 +382,14 @@ func TestStoreFIFO(t *testing.T) {
 	k := NewKernel()
 	s := NewStore[int](k, "box")
 	var got []int
-	k.Spawn("consumer", func(c *Context) {
-		for i := 0; i < 3; i++ {
-			got = append(got, s.Get(c))
-		}
-	})
-	k.Spawn("producer", func(c *Context) {
-		for i := 1; i <= 3; i++ {
-			c.Wait(1)
-			s.Put(c, i)
-		}
-	})
+	collect := func(v int) { got = append(got, v) }
+	spawnScript(k, 0, "consumer", get(s, collect), get(s, collect), get(s, collect))
+	spawnScript(k, 0, "producer", wait(1), put(s, 1), wait(1), put(s, 2), wait(1), put(s, 3))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("got %v", got)
 	}
 	for i, v := range []int{1, 2, 3} {
 		if got[i] != v {
@@ -357,16 +402,16 @@ func TestStoreGetBlocksUntilPut(t *testing.T) {
 	k := NewKernel()
 	s := NewStore[string](k, "box")
 	var when Time
-	k.Spawn("consumer", func(c *Context) {
-		_ = s.Get(c)
-		when = c.Now()
-	})
-	k.SpawnAt(9, "producer", func(c *Context) { s.Put(c, "x") })
+	spawnScript(k, 0, "consumer", get(s, nil), do(func(a *ActCtx) { when = a.Now() }))
+	spawnScript(k, 9, "producer", put(s, "x"))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if when != 9 {
-		t.Errorf("Get unblocked at %g, want 9", when)
+		t.Errorf("GetAct delivered at %g, want 9", when)
+	}
+	if w := s.GetWait.Max(); w != 9 {
+		t.Errorf("recorded get wait = %g, want 9", w)
 	}
 }
 
@@ -374,18 +419,16 @@ func TestBoundedStorePutBlocks(t *testing.T) {
 	k := NewKernel()
 	s := NewBoundedStore[int](k, "box", 2)
 	var putDone Time = -1
-	k.Spawn("producer", func(c *Context) {
-		s.Put(c, 1)
-		s.Put(c, 2)
-		s.Put(c, 3) // blocks until a Get
-		putDone = c.Now()
-	})
-	k.SpawnAt(5, "consumer", func(c *Context) { _ = s.Get(c) })
+	spawnScript(k, 0, "producer",
+		put(s, 1), put(s, 2),
+		put(s, 3), // waits until a get
+		do(func(a *ActCtx) { putDone = a.Now() }))
+	spawnScript(k, 5, "consumer", get(s, nil))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	if putDone != 5 {
-		t.Errorf("third Put completed at %g, want 5", putDone)
+		t.Errorf("third put completed at %g, want 5", putDone)
 	}
 	if s.Size() != 2 {
 		t.Errorf("store size = %d, want 2", s.Size())
@@ -395,18 +438,18 @@ func TestBoundedStorePutBlocks(t *testing.T) {
 func TestTryPutTryGet(t *testing.T) {
 	k := NewKernel()
 	s := NewBoundedStore[int](k, "box", 1)
-	k.Spawn("p", func(c *Context) {
+	k.Schedule(1, func() {
 		if !s.TryPut(7) {
 			t.Error("TryPut into empty bounded store failed")
 		}
 		if s.TryPut(8) {
 			t.Error("TryPut into full store succeeded")
 		}
-		v, ok := s.TryGet(c)
+		v, ok := s.TryGet()
 		if !ok || v != 7 {
 			t.Errorf("TryGet = (%d, %v), want (7, true)", v, ok)
 		}
-		if _, ok := s.TryGet(c); ok {
+		if _, ok := s.TryGet(); ok {
 			t.Error("TryGet from empty store succeeded")
 		}
 	})
@@ -420,12 +463,11 @@ func TestSignalBroadcast(t *testing.T) {
 	sig := NewSignal(k, "go")
 	var woke []Time
 	for i := 0; i < 3; i++ {
-		k.Spawn("waiter", func(c *Context) {
-			sig.Wait(c)
-			woke = append(woke, c.Now())
-		})
+		spawnScript(k, 0, "waiter",
+			do(func(a *ActCtx) { sig.WaitAct(a) }),
+			do(func(a *ActCtx) { woke = append(woke, a.Now()) }))
 	}
-	k.SpawnAt(4, "trigger", func(c *Context) { sig.Trigger() })
+	k.Schedule(4, sig.Trigger)
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,20 +479,21 @@ func TestSignalBroadcast(t *testing.T) {
 			t.Errorf("waiter woke at %g, want 4", w)
 		}
 	}
-	// Wait after trigger returns immediately.
+	// WaitAct after the trigger continues inline.
 	k2 := NewKernel()
 	sig2 := NewSignal(k2, "done")
 	sig2.Trigger()
 	var at Time = -1
-	k2.Spawn("late", func(c *Context) {
-		sig2.Wait(c)
-		at = c.Now()
-	})
+	inline := false
+	spawnScript(k2, 0, "late", do(func(a *ActCtx) {
+		inline = sig2.WaitAct(a)
+		at = a.Now()
+	}))
 	if _, err := k2.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if at != 0 {
-		t.Errorf("late waiter returned at %g, want 0", at)
+	if !inline || at != 0 {
+		t.Errorf("late waiter: inline %v at %g, want true at 0", inline, at)
 	}
 }
 
@@ -459,16 +502,11 @@ func TestWaitGroupJoin(t *testing.T) {
 	wg := NewWaitGroup(k, "join", 3)
 	var joined Time = -1
 	for i := 1; i <= 3; i++ {
-		d := Time(i * 10)
-		k.Spawn("w", func(c *Context) {
-			c.Wait(d)
-			wg.Done()
-		})
+		spawnScript(k, 0, "w", wait(Time(i*10)), do(func(*ActCtx) { wg.Done() }))
 	}
-	k.Spawn("joiner", func(c *Context) {
-		wg.Wait(c)
-		joined = c.Now()
-	})
+	spawnScript(k, 0, "joiner",
+		do(func(a *ActCtx) { wg.WaitAct(a) }),
+		do(func(a *ActCtx) { joined = a.Now() }))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -479,22 +517,24 @@ func TestWaitGroupJoin(t *testing.T) {
 
 func TestSleepInterrupt(t *testing.T) {
 	k := NewKernel()
-	var result error
+	interrupted := false
 	var when Time
-	p := k.Spawn("sleeper", func(c *Context) {
-		result = c.Sleep(100)
-		when = c.Now()
-	})
-	k.SpawnAt(5, "waker", func(c *Context) {
-		if !c.Kernel().Interrupt(p) {
-			t.Error("Interrupt reported no delivery")
+	p := spawnScript(k, 0, "sleeper",
+		do(func(a *ActCtx) { a.Sleep(100) }),
+		do(func(a *ActCtx) {
+			interrupted = a.Interrupted()
+			when = a.Now()
+		}))
+	k.Schedule(5, func() {
+		if !k.InterruptActivity(p) {
+			t.Error("InterruptActivity reported no delivery")
 		}
 	})
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if result != ErrInterrupted {
-		t.Errorf("Sleep returned %v, want ErrInterrupted", result)
+	if !interrupted {
+		t.Error("Sleep resumed without the interrupted flag")
 	}
 	if when != 5 {
 		t.Errorf("interrupted at %g, want 5", when)
@@ -503,22 +543,28 @@ func TestSleepInterrupt(t *testing.T) {
 
 func TestSleepUninterrupted(t *testing.T) {
 	k := NewKernel()
-	var result error = ErrInterrupted
-	k.Spawn("sleeper", func(c *Context) { result = c.Sleep(4) })
+	interrupted := true
+	var when Time
+	spawnScript(k, 0, "sleeper",
+		do(func(a *ActCtx) { a.Sleep(4) }),
+		do(func(a *ActCtx) {
+			interrupted = a.Interrupted()
+			when = a.Now()
+		}))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if result != nil {
-		t.Errorf("Sleep returned %v, want nil", result)
+	if interrupted || when != 4 {
+		t.Errorf("Sleep resumed at %g interrupted=%v, want 4 false", when, interrupted)
 	}
 }
 
 func TestInterruptNonBlockedIsNoop(t *testing.T) {
 	k := NewKernel()
-	p := k.Spawn("runner", func(c *Context) { c.Wait(10) })
+	p := spawnScript(k, 0, "runner", wait(10))
 	delivered := true
-	k.SpawnAt(1, "waker", func(c *Context) {
-		delivered = c.Kernel().Interrupt(p) // p is in Wait, not Sleep
+	k.Schedule(1, func() {
+		delivered = k.InterruptActivity(p) // p is in Wait, not Sleep
 	})
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -535,13 +581,12 @@ func TestDeterminism(t *testing.T) {
 		st := rng.New(seed)
 		var finish []float64
 		for i := 0; i < 50; i++ {
-			k.Spawn("job", func(c *Context) {
-				c.Wait(st.Exp(3))
-				r.Acquire(c)
-				c.Wait(st.Exp(5))
-				r.Release(1)
-				finish = append(finish, c.Now())
-			})
+			spawnScript(k, 0, "job",
+				do(func(a *ActCtx) { a.Wait(st.Exp(3)) }),
+				acquire(r, 1, 0),
+				do(func(a *ActCtx) { a.Wait(st.Exp(5)) }),
+				release(r, 1),
+				do(func(a *ActCtx) { finish = append(finish, a.Now()) }))
 		}
 		if _, err := k.RunUntilIdle(); err != nil {
 			t.Fatal(err)
@@ -573,18 +618,16 @@ func TestDeterminism(t *testing.T) {
 func TestYieldRunsSameTimeEvents(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	k.Spawn("a", func(c *Context) {
-		order = append(order, "a1")
-		c.Yield()
-		order = append(order, "a2")
-	})
-	k.Spawn("b", func(c *Context) {
-		order = append(order, "b1")
-	})
+	mark := func(s string) stage { return do(func(*ActCtx) { order = append(order, s) }) }
+	spawnScript(k, 0, "a", mark("a1"), do(func(a *ActCtx) { a.Yield() }), mark("a2"))
+	spawnScript(k, 0, "b", mark("b1"))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a1", "b1", "a2"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
@@ -618,7 +661,7 @@ func TestStopEndsRun(t *testing.T) {
 
 func TestNegativeWaitPanics(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("bad", func(c *Context) { c.Wait(-1) })
+	spawnScript(k, 0, "bad", wait(-1))
 	if err := k.Run(1); err == nil {
 		t.Fatal("expected error from negative Wait")
 	}
@@ -628,16 +671,8 @@ func TestResourceQueueStats(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "cpu", 1, FIFO)
 	// Two jobs: first holds [0,10], second arrives at 0 and waits 10.
-	k.Spawn("first", func(c *Context) {
-		r.Acquire(c)
-		c.Wait(10)
-		r.Release(1)
-	})
-	k.Spawn("second", func(c *Context) {
-		r.Acquire(c)
-		c.Wait(10)
-		r.Release(1)
-	})
+	spawnScript(k, 0, "first", acquire(r, 1, 0), wait(10), release(r, 1))
+	spawnScript(k, 0, "second", acquire(r, 1, 0), wait(10), release(r, 1))
 	if _, err := k.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -692,64 +727,9 @@ func TestCanceledEventRecycledAndReused(t *testing.T) {
 	}
 }
 
-func TestShutdownReKillsProcessParkingInDefer(t *testing.T) {
-	// A process whose deferred cleanup blocks again (Wait in a defer) must
-	// be re-killed until it fully unwinds — one defer level per kill pass.
-	k := NewKernel()
-	cleanupRan := false
-	k.Spawn("p", func(c *Context) {
-		defer func() { cleanupRan = true }()
-		defer func() { c.Wait(100) }() // parks again during kill unwinding
-		c.Wait(1000)
-	})
-	if err := k.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if !cleanupRan {
-		t.Fatal("outer defer never ran: process leaked blocked in its deferred Wait")
-	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after Run", k.LiveProcs())
-	}
-}
-
-func TestShutdownKillsProcsSpawnedInDefers(t *testing.T) {
-	// Dying processes may Spawn in their defers (the roster grows
-	// mid-shutdown, and with enough processes the compaction threshold is
-	// in play); every process — original and defer-spawned — must unwind.
-	k := NewKernel()
-	const n = 80
-	finished := 0
-	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("p", func(c *Context) {
-			defer func() { finished++ }()
-			if i < 4 {
-				defer func() {
-					c.Kernel().Spawn("late", func(lc *Context) {
-						defer func() { finished++ }()
-						lc.Wait(1e9)
-					})
-				}()
-			}
-			c.Wait(1e9)
-		})
-	}
-	if err := k.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if want := n + 4; finished != want {
-		t.Fatalf("finished = %d processes, want %d (leak during shutdown)", finished, want)
-	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after Run", k.LiveProcs())
-	}
-}
-
 func TestNestedRunFromCallbackErrors(t *testing.T) {
 	// Run/Advance from inside the simulation would clobber the active
-	// drain window and can deadlock the handoff protocol; it must surface
-	// as a run error, never hang.
+	// drain window; it must surface as a run error, never hang.
 	k := NewKernel()
 	k.Schedule(1, func() { _ = k.Advance(50) })
 	err := k.Run(10)
@@ -758,11 +738,8 @@ func TestNestedRunFromCallbackErrors(t *testing.T) {
 	}
 
 	k2 := NewKernel()
-	k2.Spawn("p", func(c *Context) {
-		c.Wait(1)
-		_ = c.Kernel().Run(50)
-	})
+	spawnScript(k2, 0, "p", wait(1), do(func(a *ActCtx) { _ = a.Kernel().Run(50) }))
 	if err := k2.Run(10); err == nil {
-		t.Fatal("nested Run from a process did not error")
+		t.Fatal("nested Run from an activity did not error")
 	}
 }
